@@ -64,16 +64,19 @@ def delta_unit(a: int, b: int, p: int) -> int:
 
 
 def _iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0, by integer Newton iteration (no float)."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x in (0, 1):
+    if x < 2:
         return x
-    k = int(round(x ** (1.0 / n)))
-    while (k + 1) ** n <= x:
-        k += 1
-    while k**n > x:
-        k -= 1
-    return k
+    # start above the root; from there each Newton step decreases until the
+    # floor of the root is reached
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def _sieve_upto(limit: int) -> tuple:
@@ -102,38 +105,28 @@ def _small_primes_upto(limit: int):
 
 def is_normalized(a: int, b: int) -> bool:
     """True when no prime has nu_p(a) >= 8 and nu_p(b) >= 9 simultaneously."""
-    if a == 0 and b == 0:
-        return False
-    limit = min(
-        _iroot(abs(a), 8) if a else 10**9,
-        _iroot(abs(b), 9) if b else 10**9,
-    )
-    for p in _small_primes_upto(limit):
-        if (a == 0 or val(p, a) >= 8) and (b == 0 or val(p, b) >= 9):
-            return False
-    return True
+    return (a, b) != (0, 0) and normalize(a, b) == (a, b)
 
 
 def normalize(a: int, b: int) -> tuple:
     """Strip substitutions x -> px: divide (a, b) by (p^8, p^9) while possible.
 
     The result defines the same field and satisfies nu_p(a) <= 7 or
-    nu_p(b) <= 8 for every prime.
+    nu_p(b) <= 8 for every prime.  A prime that can be stripped has
+    p^8 | gcd(a, b), so the search is bounded by the gcd: only primes
+    p <= gcd^(1/8) that divide it are visited, and a coprime pair returns
+    at once.
     """
-    if a == 0 and b == 0:
-        return 0, 0
-    while True:
-        limit = min(
-            _iroot(abs(a), 8) if a else 10**9,
-            _iroot(abs(b), 9) if b else 10**9,
-        )
-        for p in _small_primes_upto(limit):
-            if (a == 0 or val(p, a) >= 8) and (b == 0 or val(p, b) >= 9):
-                a //= p**8
-                b //= p**9
-                break
-        else:
-            return a, b
+    g = gcd(a, b)
+    if g < 2**8:
+        return a, b
+    for p in _small_primes_upto(_iroot(g, 8)):
+        if g % p:
+            continue
+        while a % p**8 == 0 and b % p**9 == 0:
+            a //= p**8
+            b //= p**9
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +198,50 @@ class Certificate(enum.Enum):
 _CERT_PRIMES = tuple(_small_primes_upto(100))
 
 
+def _smallest_integer_root(a: int, b: int) -> int | None:
+    """The smallest integer root of x^9 + ax + b, or None if it has none."""
+    # |r| >= 2 forces |r|^8 <= |a| + |b|
+    bound = max(1, _iroot(abs(a) + abs(b), 8) + 1)
+    if a >= 0:
+        pieces = ((-bound, bound, 1),)
+    else:
+        # F' = 9x^8 + a is <= 0 on [-k, k] and > 0 for |x| >= k + 1;
+        # k < bound, so no piece is empty
+        k = _iroot(-a // 9, 8)
+        pieces = ((-bound, -k - 1, 1), (-k, k, -1), (k + 1, bound, 1))
+    for lo, hi, sign in pieces:
+        # the smallest x in [lo, hi] with sign * F(x) >= 0; sign * F rises
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * (mid**9 + a * mid + b) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo**9 + a * lo + b == 0:
+            return lo
+    return None
+
+
 def irreducibility_certificate(a: int, b: int) -> tuple:
     """(Certificate, detail) for x^9 + ax + b, by cheap deterministic means.
 
     Proven: a totally-ramified polygon at some small prime, an irreducible
     reduction mod p <= 100, or mod-p factor-degree patterns whose subset
     sums only allow the trivial factor degrees.  Reducible: an integer
-    root (the root bound for this shape is tiny, so the search is
-    complete).  Unknown otherwise.
+    root, the smallest one being reported.  Unknown otherwise.
+
+    The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
+    that range F = x^9 + ax + b has at most three monotone pieces, split
+    where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
+    found by bisection, so the search costs O(log(|a| + |b|)) evaluations
+    of F.
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
+    root = _smallest_integer_root(a, b)
+    if root is not None:
+        return Certificate.REDUCIBLE, f"integer root x = {root}"
     F = trinomial(a, b)
-    # complete integer root search: |r| >= 2 forces |r|^8 <= |a| + |b|
-    root_bound = max(1, _iroot(abs(a) + abs(b), 8) + 1)
-    for r in range(-root_bound, root_bound + 1):
-        if zeval(F, r) == 0:
-            return Certificate.REDUCIBLE, f"integer root x = {r}"
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):
         vb = val(p, b)
@@ -268,6 +288,21 @@ def is_order_maximal(a: int, b: int, rho_rounds: int = 16) -> tuple:
     IndeterminateFactorization when the bounded factoring pass cannot
     certify squarefreeness of the relevant part.
     """
+    failing = _local_failure(a, b, rho_rounds) or _square_failure(
+        a, b, bounded_factor(_disc_prime_to_6(a, b), rho_rounds)
+    )
+    return failing is None, failing
+
+
+def _disc_prime_to_6(a: int, b: int) -> int:
+    d = disc(a, b)
+    if d == 0:
+        raise ReduciblePolynomial("discriminant is zero")
+    return unit_part(3, unit_part(2, abs(d)))
+
+
+def _local_failure(a: int, b: int, rho_rounds: int) -> str | None:
+    """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b)."""
     g = gcd(a, b)
     if g > 1:
         gfac, leftover = bounded_factor(g, rho_rounds)
@@ -277,35 +312,30 @@ def is_order_maximal(a: int, b: int, rho_rounds: int = 16) -> tuple:
             )
         for p in gfac:
             if val(p, b) != 1:
-                return False, f"p={p} divides a and b with nu_p(b) != 1"
+                return f"p={p} divides a and b with nu_p(b) != 1"
     if a % 2 and b % 2 == 0:
         if (a % 4, b % 4) not in _MOD4_MAXIMAL:
-            return False, f"(a,b) = ({a % 4},{b % 4}) mod 4"
+            return f"(a,b) = ({a % 4},{b % 4}) mod 4"
     if a % 3 == 0 and b % 3:
         if (a % 9, b % 9) not in _MOD9_MAXIMAL:
-            return False, f"(a,b) = ({a % 9},{b % 9}) mod 9"
-    d = disc(a, b)
-    if d == 0:
-        raise ReduciblePolynomial("discriminant is zero")
-    rough = unit_part(3, unit_part(2, abs(d)))
+            return f"(a,b) = ({a % 9},{b % 9}) mod 9"
+    return None
+
+
+def _square_failure(a: int, b: int, factored: tuple) -> str | None:
+    """The smallest prime p coprime to 6ab with p^2 | disc, as a failing
+    condition.  factored: bounded_factor of the disc's part prime to 6."""
+    dfac, leftover = factored
     ab = abs(a * b)
     if ab:
-        while (shared := gcd(rough, ab)) > 1:
-            rough //= shared
-    if rough > 1:
-        dfac, leftover = bounded_factor(rough, rho_rounds)
-        if leftover != 1:
-            from sympy import isprime
-
-            if not isprime(leftover):
-                raise IndeterminateFactorization(
-                    f"disc has an unfactored part {leftover}"
-                )
-            dfac[leftover] = dfac.get(leftover, 0) + 1
-        for p, e in dfac.items():
-            if e >= 2:
-                return False, f"nu_{p}(disc) = {e} > 1 with p coprime to 6ab"
-    return True, None
+        while (shared := gcd(leftover, ab)) > 1:
+            leftover //= shared
+    if leftover != 1:
+        raise IndeterminateFactorization(f"disc has an unfactored part {leftover}")
+    for p in sorted(dfac):
+        if dfac[p] >= 2 and (ab == 0 or ab % p):
+            return f"nu_{p}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +700,9 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     entries = {2: nu2(a, b), 3: nu3(a, b)}
     for e in entries.values():
         warnings.extend(e.warnings)
+    factored = bounded_factor(_disc_prime_to_6(a, b), rho_rounds)
     if large_primes:
-        rough = unit_part(3, unit_part(2, abs(disc(a, b))))
-        dfac, leftover = bounded_factor(rough, rho_rounds)
+        dfac, leftover = factored
         for p in sorted(dfac):
             try:
                 split = engine_split(a, b, p).splitting if p <= 7 else None
@@ -685,7 +715,8 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
                 "it are omitted from the report (their nu is 0 regardless)"
             )
     try:
-        maximal, failing = is_order_maximal(a, b, rho_rounds)
+        failing = _local_failure(a, b, rho_rounds) or _square_failure(a, b, factored)
+        maximal = failing is None
     except IndeterminateFactorization as exc:
         maximal, failing = None, str(exc)
         warnings.append(f"maximality undecided: {exc}")

@@ -1,0 +1,136 @@
+"""The index path at any input size: the integer-root search of the
+irreducibility certificate, the exact integer root and normalize.
+
+The root search is checked against a plain scan of every integer up to the
+root bound; normalize against scaling by p^8, p^9.
+"""
+
+import random
+from math import gcd, isqrt
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonicindex.nonic import (
+    Certificate,
+    _iroot,
+    irreducibility_certificate,
+    normalize,
+    nu2,
+    nu3,
+)
+
+
+def _scanned_root(a, b):
+    """The smallest integer root of x^9 + ax + b, by trying every candidate."""
+    bound = max(1, isqrt(isqrt(isqrt(abs(a) + abs(b)))) + 1)  # floor 8th root, plus 1
+    for r in range(-bound, bound + 1):
+        if r**9 + a * r + b == 0:
+            return r
+    return None
+
+
+def _assert_matches_scan(a, b):
+    cert, detail = irreducibility_certificate(a, b)
+    if b == 0:
+        assert (cert, detail) == (Certificate.REDUCIBLE, "x divides x^9 + ax")
+        return
+    root = _scanned_root(a, b)
+    if root is None:
+        assert cert is not Certificate.REDUCIBLE, (a, b, detail)
+    else:
+        assert (cert, detail) == (Certificate.REDUCIBLE, f"integer root x = {root}")
+
+
+SMALL = st.integers(-(10**6) + 1, 10**6 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL, SMALL)
+def test_certificate_matches_root_scan(a, b):
+    _assert_matches_scan(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL, st.integers(-6, 6))
+def test_certificate_finds_planted_root(a, r):
+    _assert_matches_scan(a, -(r**9 + a * r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-40, 40), st.integers(1, 40))
+def test_certificate_reports_smallest_of_two_roots(r, gap):
+    # x^9 + ax + b with the roots r and r + gap: a = -(s^9 - r^9) / (s - r)
+    s = r + gap
+    a = -(s**9 - r**9) // gap
+    b = -(r**9 + a * r)
+    _assert_matches_scan(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(10**18), 10**18), st.integers(-(10**18), 10**18), st.integers(-150, 150))
+def test_certificate_matches_root_scan_wide(a, b, r):
+    # negative a of this size splits F into three monotone pieces of many integers
+    _assert_matches_scan(a, b)
+    _assert_matches_scan(a, -(r**9 + a * r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**400), st.sampled_from((2, 3, 8, 9)))
+def test_iroot_is_exact(x, n):
+    r = _iroot(x, n)
+    assert r**n <= x < (r + 1) ** n
+
+
+def test_iroot_is_exact_near_perfect_powers():
+    rng = random.Random(4)
+    for n in (2, 3, 8, 9):
+        for r in [1, 2, 3, 10**44 + 7] + [rng.randrange(2, 10**50) for _ in range(20)]:
+            for x in (r**n - 1, r**n, r**n + 1):
+                k = _iroot(x, n)
+                assert k**n <= x < (k + 1) ** n, (x, n)
+    x = random.Random(400).randrange(10**399, 10**400)
+    for n in (2, 8, 9):
+        k = _iroot(x, n)
+        assert k**n <= x < (k + 1) ** n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.integers(1, 3),
+)
+def test_normalize_strips_scaling(a0, b0, p, k):
+    if gcd(a0, b0) < 2**8:  # then no p^8 divides both, so (a0, b0) is normalized
+        assert normalize(a0, b0) == (a0, b0)
+        assert normalize(a0 * p ** (8 * k), b0 * p ** (9 * k)) == (a0, b0)
+    assert normalize(a0 * p**8, b0 * p**9) == normalize(a0, b0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12), st.integers(1, 60))
+def test_normalize_is_idempotent(a0, b0, m):
+    a, b = normalize(a0 * m**8, b0 * m**9)
+    assert normalize(a, b) == (a, b)
+
+
+def test_index_path_beyond_float_range():
+    # (a, b) = (1, 1) mod 7 makes x^9 + ax + b irreducible mod 7
+    rng = random.Random(310)
+    pairs = []
+    for digits in (310, 355, 400):
+        a = rng.randrange(10 ** (digits - 1), 10**digits)
+        b = -rng.randrange(10 ** (digits - 1), 10**digits)
+        pairs.append((a + (1 - a) % 7, b + (1 - b) % 7))
+    a0, b0 = pairs[0]
+    pairs.append((a0 * 5**8, b0 * 5**9))
+    for a, b in pairs:
+        n = normalize(a, b)
+        assert n in ((a, b), (a0, b0))
+        assert irreducibility_certificate(*n)[0] is Certificate.PROVEN
+        for entry, p in ((nu2(*n), 2), (nu3(*n), 3)):
+            assert entry.p == p
+            if entry.splitting is not None:
+                assert entry.splitting.mass == 9
