@@ -111,8 +111,8 @@ def _cmd_polygon(args) -> int:
         print(f"cannot build phi: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     field = gf.PrimeField(args.p)
-    fbar = gf.ptrim(tuple(c % args.p for c in F))
-    phibar = gf.ptrim(tuple(c % args.p for c in phi))
+    fbar = gf.reduce_mod_p(F, args.p)
+    phibar = gf.reduce_mod_p(phi, args.p)
     if gf.pdeg(phibar) < 1 or gf.ptrim(gf.pmod(field, fbar, phibar)):
         print(
             f"phi = {args.phi} does not reduce to a factor of F mod {args.p}",

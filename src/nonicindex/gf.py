@@ -3,10 +3,13 @@
 Polynomials are tuples of field elements, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
-ints.  Everything is deterministic: factor() uses squarefree splitting,
-then distinct-degree splitting, then equal-degree splitting by exhaustive
-search over monic candidates, which is fine for the operating envelope
-(degree <= 9, q <= 343).
+ints.  pmul and pdivmod work on plain ints over F_p (F.degree == 1),
+reducing mod p once per coefficient, and go through the field's add/mul
+only over extensions.  Everything is deterministic: factor() uses
+squarefree splitting, then distinct-degree splitting, then equal-degree
+splitting by exhaustive search over monic candidates, which is fine for
+the operating envelope (degree <= 9, q <= 343).  is_irreducible is the
+same squarefree test followed by one distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -73,12 +76,14 @@ class ExtField:
     """F_q = F_p[x]/(modulus), elements as coefficient tuples of length d.
 
     The modulus must be monic and irreducible over F_p; irreducibility is
-    checked at construction time.
+    checked at construction time, except when the caller passes
+    _irreducible=True for a modulus that factor() returned, which is
+    irreducible already.
     """
 
     __slots__ = ("p", "modulus", "degree", "q", "zero", "one", "_base")
 
-    def __init__(self, p: int, modulus: tuple):
+    def __init__(self, p: int, modulus: tuple, *, _irreducible: bool = False):
         base = PrimeField(p)
         modulus = ptrim(modulus)
         d = len(modulus) - 1
@@ -86,7 +91,7 @@ class ExtField:
             raise ValueError("extension modulus must have degree >= 2")
         if modulus[-1] != 1:
             raise ValueError("extension modulus must be monic")
-        if not is_irreducible(base, modulus):
+        if not _irreducible and not is_irreducible(base, modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self._base = base
@@ -211,10 +216,6 @@ def pdeg(c) -> int:
     return len(c) - 1
 
 
-def pconst(F, e) -> tuple:
-    return () if not nonzero(e) else (e,)
-
-
 def padd(F, f, g) -> tuple:
     if len(f) < len(g):
         f, g = g, f
@@ -231,17 +232,28 @@ def psub(F, f, g) -> tuple:
     return ptrim(out)
 
 
-def pneg(F, f) -> tuple:
-    return tuple(F.neg(e) for e in f)
-
-
 def pscale(F, f, e) -> tuple:
     return ptrim(tuple(F.mul(c, e) for c in f))
+
+
+def _trim_ints(c) -> tuple:
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
 
 
 def pmul(F, f, g) -> tuple:
     if not f or not g:
         return ()
+    if F.degree == 1:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+        p = F.p
+        return _trim_ints([c % p for c in out])
     out = [F.zero] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if nonzero(x):
@@ -251,6 +263,8 @@ def pmul(F, f, g) -> tuple:
 
 
 def pdivmod(F, f, g) -> tuple:
+    if F.degree == 1:
+        return _pdivmod_ints(F.p, f, g)
     f, g = ptrim(f), ptrim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -266,6 +280,26 @@ def pdivmod(F, f, g) -> tuple:
             for j, y in enumerate(g):
                 rem[i + j] = F.sub(rem[i + j], F.mul(c, y))
     return ptrim(quo), ptrim(rem)
+
+
+def _pdivmod_ints(p: int, f, g) -> tuple:
+    """pdivmod over F_p on plain ints, reduced mod p once per coefficient."""
+    f, g = _trim_ints(f), _trim_ints(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    m = len(g)
+    if len(f) < m:
+        return (), f
+    lead_inv = pow(g[-1], -1, p)
+    rem = list(f)
+    quo = [0] * (len(f) - m + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + m - 1] * lead_inv % p
+        quo[i] = c
+        if c:
+            for j, y in enumerate(g):
+                rem[i + j] -= c * y
+    return _trim_ints(quo), _trim_ints([c % p for c in rem[: m - 1]])
 
 
 def pmod(F, f, g) -> tuple:
@@ -307,13 +341,6 @@ def pderiv(F, f) -> tuple:
     )
 
 
-def peval(F, f, e):
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, e), c)
-    return acc
-
-
 def enumerate_monic(F, d: int):
     """All monic degree-d polynomials over F, in a fixed order."""
     for lower in itertools.product(F.elements(), repeat=d):
@@ -325,28 +352,21 @@ def enumerate_monic(F, d: int):
 
 
 def is_irreducible(F, f) -> bool:
-    """Rabin's test: deterministic, works for any q in the envelope."""
+    """Whether f is irreducible over F, for any q in the envelope.
+
+    f is irreducible exactly when it is squarefree and one distinct-degree
+    pass leaves a single part, of degree deg f: every factor of a reducible
+    squarefree f of degree n shows up by degree n // 2.
+    """
     f = ptrim(f)
     n = pdeg(f)
     if n <= 0:
         return False
-    if n == 1:
-        return True
     _, f = pmonic(F, f)
-    x = (F.zero, F.one)
-    # x^(q^n) == x mod f
-    w = x
-    for _ in range(n):
-        w = ppowmod(F, w, F.q, f)
-    if ptrim(psub(F, w, x)):
+    df = pderiv(F, f)
+    if not df or pdeg(pgcd(F, f, df)) > 0:
         return False
-    for r in _prime_divisors(n):
-        w = x
-        for _ in range(n // r):
-            w = ppowmod(F, w, F.q, f)
-        if pdeg(pgcd(F, psub(F, w, x), f)) > 0:
-            return False
-    return True
+    return distinct_degree(F, f) == [(f, n)]
 
 
 def _prime_divisors(n: int):
@@ -494,7 +514,7 @@ def radical(F, f) -> tuple:
 
 def reduce_mod_p(coeffs, p: int) -> tuple:
     """Image of an integer polynomial in F_p[x]."""
-    return ptrim(tuple(c % p for c in coeffs))
+    return _trim_ints([c % p for c in coeffs])
 
 
 def _mobius(n: int) -> int:

@@ -173,7 +173,9 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
             continue
         d = None
         for seed in range(rho_rounds):
-            d = pollard_rho(m, seed=seed)
+            # sympy starts every call with the walk (s, a) and draws only
+            # its retries from the seed, so each round gets its own start
+            d = pollard_rho(m, s=2 + seed, a=1 + seed, seed=seed)
             if d not in (None, m):
                 break
             d = None
@@ -230,6 +232,11 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     sums only allow the trivial factor degrees.  Reducible: an integer
     root, the smallest one being reported.  Unknown otherwise.
 
+    Each prime p <= 100 where F stays of degree 9 costs one squarefree
+    test and, if F mod p is squarefree, one distinct-degree pass, which
+    gives both verdicts: a single part of degree 9 means F is irreducible
+    mod p, and otherwise the parts give the degree pattern.
+
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
     where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
@@ -251,15 +258,16 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     allowed_degrees = None
     for p in _CERT_PRIMES:
         field_p = gf.PrimeField(p)
-        fbar = gf.ptrim(tuple(c % p for c in F))
+        fbar = gf.reduce_mod_p(F, p)
         if gf.pdeg(fbar) != 9:
             continue
-        if gf.is_irreducible(field_p, fbar):
-            return Certificate.PROVEN, f"irreducible mod {p}"
         if gf.pdeg(gf.pgcd(field_p, fbar, gf.pderiv(field_p, fbar))) > 0:
-            continue  # not squarefree mod p, degree pattern unusable
+            continue  # not squarefree mod p: neither irreducible nor usable
+        parts = gf.distinct_degree(field_p, fbar)
+        if parts == [(fbar, 9)]:
+            return Certificate.PROVEN, f"irreducible mod {p}"
         degrees = []
-        for part, d in gf.distinct_degree(field_p, fbar):
+        for part, d in parts:
             degrees.extend([d] * (gf.pdeg(part) // d))
         sums = {0}
         for d in degrees:

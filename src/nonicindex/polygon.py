@@ -212,10 +212,14 @@ def lattice_index(polygon: NewtonPolygon) -> int:
 
 
 def residue_field(p: int, phibar):
-    """F_p[x]/(phibar): F_p itself for linear phibar."""
+    """F_p[x]/(phibar): F_p itself for linear phibar.
+
+    phibar is irreducible, being a factor that gf.factor returned (see
+    analyze_phi), so the field is built without testing that again.
+    """
     if gf.pdeg(phibar) == 1:
         return gf.PrimeField(p)
-    return gf.ExtField(p, phibar)
+    return gf.ExtField(p, phibar, _irreducible=True)
 
 
 def _reduce_coeff_poly(field, p, c, v: int):
@@ -232,7 +236,7 @@ def residual_poly(expansion, p: int, phi, side: Side):
     t_j is the residue of a_{x0+je} / p^(y0-jh) when the lattice point
     (x0+je, v) lies on the side, and 0 when it lies strictly above.
     """
-    phibar = gf.ptrim(tuple(c % p for c in phi))
+    phibar = gf.reduce_mod_p(phi, p)
     field = residue_field(p, phibar)
     coeffs = []
     for j in range(side.degree + 1):
@@ -278,7 +282,11 @@ class PhiAnalysis:
 
 
 def analyze_phi(F, p: int, phi) -> PhiAnalysis:
-    """Expansion, principal polygon, residuals and index for one lift phi."""
+    """Expansion, principal polygon, residuals and index for one lift phi.
+
+    phi must reduce mod p to an irreducible polynomial, such as a factor
+    that gf.factor returned: the residue fields are built on that trust.
+    """
     exp = phi_expand(F, phi)
     vals = tuple(coeff_val(p, c) for c in exp)
     if vals[0] == INFINITY:
@@ -409,7 +417,7 @@ def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
     NotRegular when some factor stays irregular after refinement.
     """
     field = gf.PrimeField(p)
-    fbar = gf.ptrim(tuple(c % p for c in F))
+    fbar = gf.reduce_mod_p(F, p)
     if gf.pdeg(fbar) != zdeg(F):
         raise ValueError("F must be monic of positive degree")
     fact = gf.factor(field, fbar)
@@ -417,7 +425,7 @@ def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
     pairs = []
     for phibar, _mult in fact.factors:
         phi = (overrides or {}).get(phibar) or lift_poly(phibar)
-        if gf.ptrim(tuple(c % p for c in phi)) != phibar:
+        if gf.reduce_mod_p(phi, p) != phibar:
             raise ValueError("override lift does not reduce to its factor")
         analysis = (analyze_phi_refined if refine else analyze_phi)(F, p, phi)
         analyses.append(analysis)
@@ -449,12 +457,17 @@ def is_p_regular(F, p: int, phis=None):
     """(flag, analyses) for the given lifts (naive lifts by default).
 
     No refinement is applied: this reports regularity of the polynomial
-    with respect to the lifts as supplied.
+    with respect to the lifts as supplied.  Supplied lifts must reduce to
+    irreducible polynomials mod p.
     """
+    field = gf.PrimeField(p)
     if phis is None:
-        field = gf.PrimeField(p)
-        fbar = gf.ptrim(tuple(c % p for c in F))
+        fbar = gf.reduce_mod_p(F, p)
         phis = [lift_poly(phibar) for phibar, _ in gf.factor(field, fbar).factors]
+    else:
+        for phi in phis:
+            if not gf.is_irreducible(field, gf.reduce_mod_p(phi, p)):
+                raise ValueError(f"phi = {phi} is not irreducible mod {p}")
     analyses = [analyze_phi(F, p, phi) for phi in phis]
     return all(a.regular for a in analyses), analyses
 
@@ -471,7 +484,7 @@ def dedekind_divides(F, p: int) -> bool:
     prime works.
     """
     field = gf.PrimeField(p)
-    fbar = gf.ptrim(tuple(c % p for c in F))
+    fbar = gf.reduce_mod_p(F, p)
     if gf.pdeg(fbar) != zdeg(F):
         raise ValueError("F must be monic")
     gbar = gf.radical(field, fbar)
@@ -480,6 +493,6 @@ def dedekind_divides(F, p: int) -> bool:
     h_lift = lift_poly(hbar)
     diff = zsub(zmul(g_lift, h_lift), ztrim(F))
     assert all(c % p == 0 for c in diff), "g*h must reconstruct F mod p"
-    tbar = gf.ptrim(tuple((c // p) % p for c in diff))
+    tbar = gf.reduce_mod_p((c // p for c in diff), p)
     g1 = gf.pgcd(field, tbar, gbar)
     return gf.pdeg(gf.pgcd(field, g1, hbar)) >= 1

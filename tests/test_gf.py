@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_mul, gf_pow_mod
 
 from nonicindex import gf
 from nonicindex.gf import (
@@ -14,6 +18,7 @@ from nonicindex.gf import (
     pdivmod,
     pgcd,
     pmul,
+    ppowmod,
     ptrim,
     radical,
     reduce_mod_p,
@@ -150,3 +155,30 @@ def test_gcd_and_irreducibility_consistency():
             assert _divides(field, f, d) and _divides(field, g, d)
         if pdeg(f) >= 1 and pdeg(g) >= 1:
             assert not is_irreducible(field, pmul(field, f, g))
+
+
+def _fp_case(p):
+    poly = st.lists(st.integers(0, p - 1), max_size=17).map(ptrim)  # degree <= 16
+    return st.tuples(st.just(p), poly, poly, st.integers(0, 300))
+
+
+def _to_sympy(f):
+    return [ZZ(c) for c in reversed(f)]
+
+
+def _from_sympy(c, p):
+    return ptrim(tuple(int(x) % p for x in reversed(c)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 97)).flatmap(_fp_case))
+def test_fp_arithmetic_matches_sympy_galoistools(case):
+    p, f, g, n = case
+    field = PrimeField(p)
+    assert pmul(field, f, g) == _from_sympy(gf_mul(_to_sympy(f), _to_sympy(g), p, ZZ), p)
+    if not g:
+        return
+    quo, rem = gf_div(_to_sympy(f), _to_sympy(g), p, ZZ)
+    assert pdivmod(field, f, g) == (_from_sympy(quo, p), _from_sympy(rem, p))
+    expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
+    assert ppowmod(field, f, n, g) == _from_sympy(expected, p)

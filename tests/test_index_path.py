@@ -8,10 +8,12 @@ root bound; normalize against scaling by p^8, p^9.
 import random
 from math import gcd, isqrt
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import Poly, Symbol
 
 from nonicindex.nonic import (
+    _CERT_PRIMES,
     Certificate,
     _iroot,
     irreducibility_certificate,
@@ -73,6 +75,27 @@ def test_certificate_matches_root_scan_wide(a, b, r):
     # negative a of this size splits F into three monotone pieces of many integers
     _assert_matches_scan(a, b)
     _assert_matches_scan(a, -(r**9 + a * r))
+
+
+def _irreducible_mod(a, b, p):
+    x = Symbol("x")
+    return Poly(x**9 + a * x + b, x, modulus=p).is_irreducible
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(SMALL, st.integers(-(10**18), 10**18)), st.one_of(SMALL, st.integers(-(10**18), 10**18)))
+@example(-190, 11)  # mod 19: three distinct cubics, one distinct-degree part
+@example(-190, 27)
+def test_irreducible_mod_p_verdict_matches_sympy(a, b):
+    # the verdict names the first prime of _CERT_PRIMES with an irreducible
+    # reduction (every reduction has degree 9, since F is monic)
+    cert, detail = irreducibility_certificate(a, b)
+    if not detail.startswith("irreducible mod "):
+        return
+    p = int(detail.removeprefix("irreducible mod "))
+    assert cert is Certificate.PROVEN
+    assert _irreducible_mod(a, b, p), (a, b, p)
+    assert not any(_irreducible_mod(a, b, q) for q in _CERT_PRIMES if q < p), (a, b, p)
 
 
 @settings(max_examples=200, deadline=None)

@@ -62,6 +62,22 @@ def test_certificate():
     assert cert is Certificate.REDUCIBLE and "root" in detail
 
 
+def test_rho_rounds_start_distinct_walks(monkeypatch):
+    import sympy.ntheory.factor_ as factor_
+
+    starts = []
+
+    def failing_rho(n, s=2, a=1, retries=5, seed=1234, max_steps=None, F=None):
+        starts.append((s, a))
+        return None
+
+    monkeypatch.setattr(factor_, "pollard_rho", failing_rho)
+    n = 1000003 * 1000033  # two primes beyond the trial-division limit
+    assert bounded_factor(n) == ({}, n)
+    assert len(starts) == 16 and len(set(starts)) == 16
+    assert starts[0] == (2, 1)
+
+
 def test_is_order_maximal():
     assert is_order_maximal(51, 122) == (True, None)
     flag, detail = is_order_maximal(35, 20)

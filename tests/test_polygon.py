@@ -18,6 +18,7 @@ from nonicindex.polygon import (
     phi_expand,
     principal_polygon,
     residual_poly,
+    residue_field,
     trinomial,
     zmul,
     zsub,
@@ -181,6 +182,9 @@ def test_is_p_regular_examples():
     assert flag is False
     bad = [sd for an in analyses for sd in an.sides if not sd.squarefree]
     assert bad and dict(bad[0].factorization.factors) == {(1, 1): 2}
+    # a supplied lift must be irreducible mod p: x^2 + 1 = (x + 1)^2 mod 2
+    with pytest.raises(ValueError):
+        is_p_regular(trinomial(1, 1), 2, phis=[(1, 0, 1)])
 
 
 def test_ore_split_examples():
@@ -262,3 +266,15 @@ def test_coeff_val():
     assert coeff_val(2, ()) == INFINITY
     assert coeff_val(2, (8, 12)) == 2
     assert coeff_val(3, (5,)) == 0
+
+
+def test_residue_fields_match_checked_construction():
+    # residue_field trusts gf.factor; every factor of a trinomial mod p
+    # (all residues of a, b, which covers |a|, |b| <= 64) passes the check
+    for p in (2, 3, 5, 7):
+        field = gf.PrimeField(p)
+        for a in range(p):
+            for b in range(p):
+                for phibar, _m in gf.factor(field, gf.reduce_mod_p(trinomial(a, b), p)).factors:
+                    if gf.pdeg(phibar) >= 2:
+                        assert gf.ExtField(p, phibar) == residue_field(p, phibar)
