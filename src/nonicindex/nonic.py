@@ -14,8 +14,9 @@ on the splitting type, so values have a single source of truth.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from . import gf
 from .arith import INFINITY, inv_mod_pk, unit_part, val
@@ -90,17 +91,23 @@ def _sieve_upto(limit: int) -> tuple:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
+# The sieve shared by normalize and trial division: every prime up to
+# _SIEVED_TO.  An empty _TRIAL_PRIMES means "sieve again" (a caller may clear
+# it), never "no primes".  _TRIAL_BLOCKS caches the trial-division blocks and
+# is cleared by every new sieve.
 _TRIAL_PRIMES: tuple = ()
+_SIEVED_TO = 0
+_TRIAL_BLOCKS: tuple = ()
 
 
-def _small_primes_upto(limit: int):
-    global _TRIAL_PRIMES
-    if limit > (len(_TRIAL_PRIMES) and _TRIAL_PRIMES[-1]):
-        _TRIAL_PRIMES = _sieve_upto(max(limit, 1024))
-    for p in _TRIAL_PRIMES:
-        if p > limit:
-            return
-        yield p
+def _primes_upto(limit: int) -> tuple:
+    """Every prime p <= limit, from the shared sieve."""
+    global _TRIAL_PRIMES, _SIEVED_TO, _TRIAL_BLOCKS
+    if not _TRIAL_PRIMES or limit > _SIEVED_TO:
+        _SIEVED_TO = max(limit, 1024)
+        _TRIAL_PRIMES = _sieve_upto(_SIEVED_TO)
+        _TRIAL_BLOCKS = ()
+    return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, limit)]
 
 
 def is_normalized(a: int, b: int) -> bool:
@@ -120,7 +127,7 @@ def normalize(a: int, b: int) -> tuple:
     g = gcd(a, b)
     if g < 2**8:
         return a, b
-    for p in _small_primes_upto(_iroot(g, 8)):
+    for p in _primes_upto(_iroot(g, 8)):
         if g % p:
             continue
         while a % p**8 == 0 and b % p**9 == 0:
@@ -132,35 +139,122 @@ def normalize(a: int, b: int) -> tuple:
 # ---------------------------------------------------------------------------
 # bounded integer factoring (plumbing for the maximality conditions)
 
-_TRIAL_LIMIT = 30_000
+# The chain's effort is counted in units.  A rho step (a modular squaring
+# and a product) on an operand of b bits costs 1 + (b // 256)^2 units, since
+# schoolbook products grow with the square of the length.  Counting units,
+# not seconds, gives an input the same answer on every machine.
+_TRIAL_LIMIT = 30_000  # trial division by every prime up to this
+_TRIAL_BLOCK = 64  # primes per block product
+_RHO_BATCH = 128  # rho steps per gcd
+_RHO_UNITS = 1 << 17  # rho effort per composite, over all its rounds
+_ECM_B1, _ECM_B2 = 2_000, 200_000  # stage bounds, suited to factors of ~15 digits
+_ECM_CURVES = 16  # curves per ECM call
+_ECM_CURVE_UNITS = 1 << 16  # one curve at these bounds costs about this many rho steps
+_FACTOR_BUDGET = 1 << 22  # all effort of one bounded_factor call
+_FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
+_FACTOR_CEILING = 10**_FACTOR_DIGITS
+
+
+def _trial_blocks() -> tuple:
+    """(product, primes) blocks over the primes up to _TRIAL_LIMIT."""
+    global _TRIAL_BLOCKS
+    if not (_TRIAL_PRIMES and _TRIAL_BLOCKS):
+        primes = _primes_upto(_TRIAL_LIMIT)
+        _TRIAL_BLOCKS = tuple(
+            (prod(primes[i : i + _TRIAL_BLOCK]), primes[i : i + _TRIAL_BLOCK])
+            for i in range(0, len(primes), _TRIAL_BLOCK)
+        )
+    return _TRIAL_BLOCKS
+
+
+def _trial_divide(n: int, factors: dict) -> int:
+    """Divide the primes up to _TRIAL_LIMIT out of n into factors; return
+    the rest.  One gcd per block; only a block sharing a prime is scanned."""
+    for block, primes in _trial_blocks():
+        if primes[0] * primes[0] > n:
+            break  # n is 1 or a prime
+        shared = gcd(block, n % block)
+        if shared == 1:
+            continue
+        for p in primes:
+            if shared % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
+    return n
+
+
+def _brent(n: int, c: int, y: int, cap: int) -> tuple:
+    """Brent's rho walk y -> y^2 + c mod n, at most cap steps before the
+    final backtrack, with one gcd per _RHO_BATCH steps (Brent, BIT 1980).
+
+    Returns (d, steps): d is a divisor 1 < d < n, or None when the walk hit
+    its cap or closed its cycle on n itself.
+    """
+    g = q = r = 1
+    steps = 0
+    while g == 1:
+        if steps + r > cap:
+            return None, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            batch = min(_RHO_BATCH, r - k, cap - steps)
+            if batch <= 0:
+                return None, steps
+            ys = y
+            for _ in range(batch):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            steps += batch
+            k += batch
+        r *= 2
+    if g == n:
+        # the batch's product hit both factors; redo it one gcd per step
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+            steps += 1
+    return (g if g < n else None), steps
 
 
 def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
-    """Factor |n| with trial division plus a bounded Pollard-rho pass.
+    """Factor |n| by a bounded, seeded chain.
 
-    Returns (factors, leftover): factors maps primes to exponents and
-    leftover is 1 on success, else the composite part that resisted.
+    Trial division by the primes up to _TRIAL_LIMIT, then for each
+    remaining composite: Brent's rho, round r walking from y = 2 + r with
+    c = 1 + r, for at most _RHO_UNITS in all; then ECM calls of
+    _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1, 2, ...  Every
+    step is charged to one budget of _FACTOR_BUDGET units per call; a part
+    the budget cannot afford, or with more than _FACTOR_DIGITS digits, is
+    left unfactored.  The same n always gets the same answer.
+
+    Returns (factors, leftover): factors maps primes to exponents, in
+    increasing order, and leftover is 1 on success, else the product of
+    the parts that were left unfactored.
     """
     n = abs(n)
     if n <= 1:
         return {}, 1
     factors: dict = {}
-    for p in _small_primes_upto(_TRIAL_LIMIT):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+    n = _trial_divide(n, factors)
     if n == 1:
         return factors, 1
     from sympy import isprime, perfect_power
-    from sympy.ntheory.factor_ import pollard_rho
+    from sympy.ntheory import ecm
 
+    budget = _FACTOR_BUDGET
     stack = [n]
     leftover = 1
     while stack:
         m = stack.pop()
-        if m == 1:
+        if m > _FACTOR_CEILING:
+            leftover *= m
             continue
         if isprime(m):
             factors[m] = factors.get(m, 0) + 1
@@ -171,20 +265,32 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
             for _ in range(exp):
                 stack.append(base)
             continue
+        weight = 1 + (m.bit_length() >> 8) ** 2
         d = None
-        for seed in range(rho_rounds):
-            # sympy starts every call with the walk (s, a) and draws only
-            # its retries from the seed, so each round gets its own start
-            d = pollard_rho(m, s=2 + seed, a=1 + seed, seed=seed)
-            if d not in (None, m):
+        allowance = min(_RHO_UNITS, budget) // weight
+        for r in range(rho_rounds):
+            if allowance <= 0:
                 break
-            d = None
+            d, steps = _brent(m, 1 + r, 2 + r, allowance)
+            allowance -= steps
+            budget -= steps * weight
+            if d is not None:
+                break
+        seed = 1
+        cost = _ECM_CURVES * _ECM_CURVE_UNITS * weight
+        while d is None and budget >= cost:
+            budget -= cost
+            try:
+                # a set of distinct primes of m: take one, split m by it
+                d = min(ecm(m, _ECM_B1, _ECM_B2, _ECM_CURVES, seed))
+            except ValueError:
+                seed += 1
         if d is None:
             leftover *= m
         else:
             stack.append(d)
             stack.append(m // d)
-    return factors, leftover
+    return dict(sorted(factors.items())), leftover
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +303,7 @@ class Certificate(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_CERT_PRIMES = tuple(_small_primes_upto(100))
+_CERT_PRIMES = _sieve_upto(100)
 
 
 def _smallest_integer_root(a: int, b: int) -> int | None:

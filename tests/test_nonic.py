@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nonicindex import nonic
 from nonicindex.arith import val
 from nonicindex.engstrom import IndexValuation
 from nonicindex.nonic import (
@@ -63,19 +64,19 @@ def test_certificate():
 
 
 def test_rho_rounds_start_distinct_walks(monkeypatch):
-    import sympy.ntheory.factor_ as factor_
-
     starts = []
 
-    def failing_rho(n, s=2, a=1, retries=5, seed=1234, max_steps=None, F=None):
-        starts.append((s, a))
-        return None
+    def failing_walk(n, c, y, cap):
+        starts.append((c, y))
+        return None, 1
 
-    monkeypatch.setattr(factor_, "pollard_rho", failing_rho)
+    monkeypatch.setattr(nonic, "_brent", failing_walk)
+    # a budget too small for one ECM call: the rho rounds are all there is
+    monkeypatch.setattr(nonic, "_FACTOR_BUDGET", nonic._ECM_CURVES * nonic._ECM_CURVE_UNITS - 1)
     n = 1000003 * 1000033  # two primes beyond the trial-division limit
     assert bounded_factor(n) == ({}, n)
     assert len(starts) == 16 and len(set(starts)) == 16
-    assert starts[0] == (2, 1)
+    assert starts[0] == (1, 2)
 
 
 def test_is_order_maximal():
