@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 
 from . import gf
-from .arith import INFINITY, inv_mod_pk, unit_part, val
+from .arith import INFINITY, inv_mod_pk, is_prime, perfect_power, unit_part, val
+from .arith import iroot as _iroot
 from .engstrom import IndexValuation, nu_lookup
 from .polygon import (
+    ExactDivisorError,
     NotRegularError,
     Splitting,
     ore_analyze,
@@ -64,22 +66,6 @@ def delta_unit(a: int, b: int, p: int) -> int:
     return unit_part(p, d)
 
 
-def _iroot(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 0, by integer Newton iteration (no float)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x < 2:
-        return x
-    # start above the root; from there each Newton step decreases until the
-    # floor of the root is reached
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
 def _sieve_upto(limit: int) -> tuple:
     if limit < 2:
         return ()
@@ -91,7 +77,7 @@ def _sieve_upto(limit: int) -> tuple:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
-# The sieve shared by normalize and trial division: every prime up to
+# The sieve behind trial division: every prime up to
 # _SIEVED_TO.  An empty _TRIAL_PRIMES means "sieve again" (a caller may clear
 # it), never "no primes".  _TRIAL_BLOCKS caches the trial-division blocks and
 # is cleared by every new sieve.
@@ -118,17 +104,24 @@ def is_normalized(a: int, b: int) -> bool:
 def normalize(a: int, b: int) -> tuple:
     """Strip substitutions x -> px: divide (a, b) by (p^8, p^9) while possible.
 
-    The result defines the same field and satisfies nu_p(a) <= 7 or
-    nu_p(b) <= 8 for every prime.  A prime that can be stripped has
-    p^8 | gcd(a, b), so the search is bounded by the gcd: only primes
-    p <= gcd^(1/8) that divide it are visited, and a coprime pair returns
-    at once.
+    The result defines the same field.  A prime that can be stripped has
+    p^8 | gcd(a, b), so only the primes of the gcd are visited, and a
+    coprime pair returns at once.  Trial division finds every prime up to
+    _TRIAL_LIMIT.  A larger prime can divide the gcd eight times only when
+    the part that trial division leaves is at least _TRIAL_LIMIT^8, and
+    only then does that part go to bounded_factor.  A prime that its budget
+    cannot split out (one of more than about 15 digits) is not stripped;
+    for every other prime the result has nu_p(a) <= 7 or nu_p(b) <= 8.
     """
     g = gcd(a, b)
     if g < 2**8:
         return a, b
-    for p in _primes_upto(_iroot(g, 8)):
-        if g % p:
+    factors: dict = {}
+    rest = _trial_divide(g, factors)
+    if rest >= _TRIAL_LIMIT**8:
+        factors.update(bounded_factor(rest)[0])
+    for p, e in factors.items():
+        if e < 8:
             continue
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
@@ -245,9 +238,6 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
     n = _trial_divide(n, factors)
     if n == 1:
         return factors, 1
-    from sympy import isprime, perfect_power
-    from sympy.ntheory import ecm
-
     budget = _FACTOR_BUDGET
     stack = [n]
     leftover = 1
@@ -256,7 +246,7 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
         if m > _FACTOR_CEILING:
             leftover *= m
             continue
-        if isprime(m):
+        if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         power = perfect_power(m)
@@ -280,6 +270,8 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
         cost = _ECM_CURVES * _ECM_CURVE_UNITS * weight
         while d is None and budget >= cost:
             budget -= cost
+            from sympy.ntheory import ecm  # imported on first use: few inputs get here
+
             try:
                 # a set of distinct primes of m: take one, split m by it
                 d = min(ecm(m, _ECM_B1, _ECM_B2, _ECM_CURVES, seed))
@@ -338,10 +330,10 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     sums only allow the trivial factor degrees.  Reducible: an integer
     root, the smallest one being reported.  Unknown otherwise.
 
-    Each prime p <= 100 where F stays of degree 9 costs one squarefree
-    test and, if F mod p is squarefree, one distinct-degree pass, which
-    gives both verdicts: a single part of degree 9 means F is irreducible
-    mod p, and otherwise the parts give the degree pattern.
+    F is monic, so F mod p is squarefree exactly when p does not divide
+    disc(a, b).  Each such prime p <= 100 costs one distinct-degree pass,
+    which gives both verdicts: a single part of degree 9 means F is
+    irreducible mod p, and otherwise the parts give the degree pattern.
 
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
@@ -362,13 +354,12 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed_degrees = None
+    delta = disc(a, b)
     for p in _CERT_PRIMES:
+        if delta % p == 0:
+            continue  # F mod p is not squarefree: neither irreducible nor usable
         field_p = gf.PrimeField(p)
         fbar = gf.reduce_mod_p(F, p)
-        if gf.pdeg(fbar) != 9:
-            continue
-        if gf.pdeg(gf.pgcd(field_p, fbar, gf.pderiv(field_p, fbar))) > 0:
-            continue  # not squarefree mod p: neither irreducible nor usable
         parts = gf.distinct_degree(field_p, fbar)
         if parts == [(fbar, 9)]:
             return Certificate.PROVEN, f"irreducible mod {p}"
@@ -797,7 +788,8 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     """Full index report for x^9 + ax + b.
 
     Normalizes the input, certifies irreducibility (an Unknown certificate
-    is reported, not fatal; a Reducible one raises), computes nu_2 and
+    is reported, not fatal; a Reducible one, or a factor of F that the
+    polygon engine meets, raises ReduciblePolynomial), computes nu_2 and
     nu_3, records nu_p = 0 for the primes p >= 5 dividing the
     discriminant, and assembles i(K) = 2^nu2 * 3^nu3 when both are exact.
     """
@@ -811,7 +803,10 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
         raise ReduciblePolynomial(cert_detail)
     if cert is Certificate.UNKNOWN:
         warnings.append("irreducibility not certified; report assumes it")
-    entries = {2: nu2(a, b), 3: nu3(a, b)}
+    try:
+        entries = {2: nu2(a, b), 3: nu3(a, b)}
+    except ExactDivisorError as exc:
+        raise ReduciblePolynomial(str(exc)) from None
     for e in entries.values():
         warnings.extend(e.warnings)
     factored = bounded_factor(_disc_prime_to_6(a, b), rho_rounds)
@@ -822,6 +817,8 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
                 split = engine_split(a, b, p).splitting if p <= 7 else None
             except NotRegularError:  # pragma: no cover - not expected for p >= 5
                 split = None
+            except ExactDivisorError as exc:
+                raise ReduciblePolynomial(str(exc)) from None
             entries[p] = PrimeEntry(p, nup_large(a, b, p), split, f"{p}:ge5")
         if leftover != 1:
             warnings.append(

@@ -281,6 +281,10 @@ class PhiAnalysis:
         return all(sd.squarefree for sd in self.sides)
 
 
+class ExactDivisorError(ValueError):
+    """A lift phi divides F exactly, so F is reducible."""
+
+
 def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     """Expansion, principal polygon, residuals and index for one lift phi.
 
@@ -290,7 +294,7 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     exp = phi_expand(F, phi)
     vals = tuple(coeff_val(p, c) for c in exp)
     if vals[0] == INFINITY:
-        raise ValueError("phi divides F exactly; F is reducible")
+        raise ExactDivisorError("phi divides F exactly; F is reducible")
     points = [(i, v) for i, v in enumerate(vals) if v != INFINITY]
     polygon = principal_polygon(points)
     sides = []

@@ -21,9 +21,9 @@ HUGE = (10**399 + 7, 10**400 + 1)  # a discriminant of 3,599 digits
 
 
 def _record_effort(monkeypatch):
-    """Count the rho steps, ECM calls and isprime arguments of the chain."""
+    """Count the rho steps, ECM calls and primality-test arguments of the chain."""
     effort = {"rho_steps": 0, "ecm_calls": 0, "isprime_digits": []}
-    walk, ecm, prime = nonic._brent, sympy.ntheory.ecm, sympy.isprime
+    walk, ecm, prime = nonic._brent, sympy.ntheory.ecm, nonic.is_prime
 
     def counted_walk(n, c, y, cap):
         d, steps = walk(n, c, y, cap)
@@ -40,8 +40,17 @@ def _record_effort(monkeypatch):
 
     monkeypatch.setattr(nonic, "_brent", counted_walk)
     monkeypatch.setattr(sympy.ntheory, "ecm", counted_ecm)
-    monkeypatch.setattr(sympy, "isprime", counted_isprime)
+    monkeypatch.setattr(nonic, "is_prime", counted_isprime)
     return effort
+
+
+def test_effort_recorder_sees_the_chain(monkeypatch):
+    # the recorder patches the names the chain calls: on an ordinary pair it
+    # sees the primality tests and rho steps that split the discriminant
+    effort = _record_effort(monkeypatch)
+    classify(51, 122)  # leaves the cofactor 1041857 x 2938654097
+    assert len(str(1041857 * 2938654097)) in effort["isprime_digits"]
+    assert effort["rho_steps"] > 0
 
 
 def test_exhausted_budget_leaves_the_composite(monkeypatch):
