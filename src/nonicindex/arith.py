@@ -130,16 +130,9 @@ def iroot(x: int, n: int) -> int:
         raise ValueError("x must be >= 0")
     if x < 2:
         return x
-    if n == 2:
-        return math.isqrt(x)
     # start above the root; from there each Newton step decreases until the
-    # floor of the root is reached.  Below 2^1000 a float estimate, within a
-    # relative 2^-40 of the root, gives a start only just above it.
-    if x.bit_length() // n < 1000:
-        r = int(2 ** (math.log2(x) / n))
-        r += (r >> 30) + 2
-    else:
-        r = 1 << -(-x.bit_length() // n)
+    # floor of the root is reached
+    r = 1 << -(-x.bit_length() // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
         if s >= r:

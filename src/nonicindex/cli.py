@@ -20,7 +20,7 @@ from .nonic import (
     critical_shift,
     disc,
 )
-from .polygon import analyze_phi, trinomial, ztrim
+from .polygon import ExactDivisorError, analyze_phi, trinomial, ztrim
 from .verify import CSV_HEADER, run_suite
 
 SCHEMA_VERSION = "1"
@@ -119,7 +119,11 @@ def _cmd_polygon(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    analysis = analyze_phi(F, args.p, phi)
+    try:
+        analysis = analyze_phi(F, args.p, phi)
+    except ExactDivisorError as exc:
+        print(f"reducible: {exc}", file=sys.stderr)
+        return EXIT_REDUCIBLE
     sides_payload = []
     for sd in analysis.sides:
         factors = [

@@ -14,7 +14,6 @@ on the splitting type, so values have a single source of truth.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, prod
 
@@ -77,28 +76,20 @@ def _sieve_upto(limit: int) -> tuple:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
-# The sieve behind trial division: every prime up to
-# _SIEVED_TO.  An empty _TRIAL_PRIMES means "sieve again" (a caller may clear
-# it), never "no primes".  _TRIAL_BLOCKS caches the trial-division blocks and
-# is cleared by every new sieve.
-_TRIAL_PRIMES: tuple = ()
-_SIEVED_TO = 0
-_TRIAL_BLOCKS: tuple = ()
-
-
-def _primes_upto(limit: int) -> tuple:
-    """Every prime p <= limit, from the shared sieve."""
-    global _TRIAL_PRIMES, _SIEVED_TO, _TRIAL_BLOCKS
-    if not _TRIAL_PRIMES or limit > _SIEVED_TO:
-        _SIEVED_TO = max(limit, 1024)
-        _TRIAL_PRIMES = _sieve_upto(_SIEVED_TO)
-        _TRIAL_BLOCKS = ()
-    return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, limit)]
-
-
 def is_normalized(a: int, b: int) -> bool:
-    """True when no prime has nu_p(a) >= 8 and nu_p(b) >= 9 simultaneously."""
-    return (a, b) != (0, 0) and normalize(a, b) == (a, b)
+    """True when no prime has nu_p(a) >= 8 and nu_p(b) >= 9 simultaneously.
+
+    Raises IndeterminateFactorization when no prime could be stripped but
+    gcd(a, b) keeps an unfactored part that might hide such a prime.
+    """
+    if (a, b) == (0, 0):
+        return False
+    stripped, unsplit = _normalize(a, b)
+    if stripped != (a, b):
+        return False
+    if unsplit != 1:
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {unsplit}")
+    return True
 
 
 def normalize(a: int, b: int) -> tuple:
@@ -111,22 +102,35 @@ def normalize(a: int, b: int) -> tuple:
     the part that trial division leaves is at least _TRIAL_LIMIT^8, and
     only then does that part go to bounded_factor.  A prime that its budget
     cannot split out (one of more than about 15 digits) is not stripped;
-    for every other prime the result has nu_p(a) <= 7 or nu_p(b) <= 8.
+    is_normalized raises and classify warns when that may have happened.
+    """
+    return _normalize(a, b)[0]
+
+
+def _normalize(a: int, b: int) -> tuple:
+    """((a, b) normalized, unsplit).  unsplit is 1, or the part of the gcd
+    that bounded_factor left unfactored when it is at least _TRIAL_LIMIT^8.
+
+    Every prime found is tested, whatever its count, so a prime that was
+    not stripped but should have been lies wholly in that part, eight
+    times over.
     """
     g = gcd(a, b)
     if g < 2**8:
-        return a, b
+        return (a, b), 1
     factors: dict = {}
     rest = _trial_divide(g, factors)
+    unsplit = 1
     if rest >= _TRIAL_LIMIT**8:
-        factors.update(bounded_factor(rest)[0])
-    for p, e in factors.items():
-        if e < 8:
-            continue
+        found, leftover = bounded_factor(rest)
+        factors.update(found)
+        if leftover >= _TRIAL_LIMIT**8:
+            unsplit = leftover
+    for p in factors:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
-    return a, b
+    return (a, b), unsplit
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +152,18 @@ _FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
 _FACTOR_CEILING = 10**_FACTOR_DIGITS
 
 
+# The sieve behind trial division, every prime up to _TRIAL_LIMIT, and its
+# (product, primes) blocks.  An empty _TRIAL_PRIMES means "sieve again" (a
+# caller may clear it), never "no primes".
+_TRIAL_PRIMES: tuple = ()
+_TRIAL_BLOCKS: tuple = ()
+
+
 def _trial_blocks() -> tuple:
     """(product, primes) blocks over the primes up to _TRIAL_LIMIT."""
-    global _TRIAL_BLOCKS
-    if not (_TRIAL_PRIMES and _TRIAL_BLOCKS):
-        primes = _primes_upto(_TRIAL_LIMIT)
+    global _TRIAL_PRIMES, _TRIAL_BLOCKS
+    if not _TRIAL_PRIMES:
+        primes = _TRIAL_PRIMES = _sieve_upto(_TRIAL_LIMIT)
         _TRIAL_BLOCKS = tuple(
             (prod(primes[i : i + _TRIAL_BLOCK]), primes[i : i + _TRIAL_BLOCK])
             for i in range(0, len(primes), _TRIAL_BLOCK)
@@ -795,9 +806,11 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     """
     a_in, b_in = a, b
     warnings = []
-    a, b = normalize(a, b)
+    (a, b), unsplit = _normalize(a, b)
     if (a, b) != (a_in, b_in):
         warnings.append(f"input normalized to (a, b) = ({a}, {b})")
+    if unsplit != 1:
+        warnings.append(f"normalization undecided: gcd(a,b) has an unfactored part {unsplit}")
     cert, cert_detail = irreducibility_certificate(a, b)
     if cert is Certificate.REDUCIBLE:
         raise ReduciblePolynomial(cert_detail)

@@ -1,5 +1,6 @@
-"""The CLI is total on integer input: every pair of integers for --a and --b
-ends with exit code 0, 1, 2 or 3 and never prints a traceback."""
+"""The CLI is total on integer input: every pair of integers for --a and --b,
+given to classify or to polygon, ends with exit code 0, 1, 2 or 3 and never
+prints a traceback."""
 
 import contextlib
 import io
@@ -41,5 +42,17 @@ def _run(argv):
 @example(-(10**301) - 7, 0, False)  # gcd(a, b) = |a|, far past any sieve
 def test_classify_cli_is_total(a, b, as_json):
     code, text = _run(["classify", "--a", str(a), "--b", str(b)] + ["--json"] * as_json)
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(INTEGERS, INTEGERS, st.sampled_from((2, 3, 5, 7)),
+       st.sampled_from(("x", "x-1", "x+1", "shifted")), st.booleans())
+@example(1, 0, 2, "x", False)  # phi = x divides x^9 + x
+@example(-2, 1, 3, "x-1", True)  # phi = x - 1 divides x^9 - 2x + 1
+def test_polygon_cli_is_total(a, b, p, phi, as_json):
+    argv = ["polygon", "--a", str(a), "--b", str(b), "--p", str(p), "--phi", phi]
+    code, text = _run(argv + ["--json"] * as_json)
     assert code in (0, 1, 2, 3), text
     assert "Traceback" not in text

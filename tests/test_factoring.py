@@ -67,7 +67,7 @@ def test_trial_division_survives_a_cleared_sieve(monkeypatch):
     assert bounded_factor(n) == want
     monkeypatch.setattr(nonic, "_TRIAL_PRIMES", ())  # "sieve again", not "no primes"
     assert bounded_factor(n) == want
-    assert nonic._primes_upto(nonic._TRIAL_LIMIT)[-1] == 29989
+    assert nonic._TRIAL_PRIMES[-1] == 29989
 
 
 @pytest.mark.parametrize("a, b", [(707, 549), (203, 993)])
@@ -119,4 +119,4 @@ def test_bounded_factor_is_exact(primes, data):
     assert all(isprime(p) for p in factors)
     if leftover != 1:
         assert not isprime(leftover)
-        assert gcd(leftover, prod(nonic._primes_upto(nonic._TRIAL_LIMIT))) == 1
+        assert gcd(leftover, prod(block for block, _ in nonic._trial_blocks())) == 1

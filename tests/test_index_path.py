@@ -8,15 +8,19 @@ root bound; normalize against scaling by p^8, p^9.
 import random
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, Symbol
+from sympy import Poly, Symbol, nextprime
 
 from nonicindex.nonic import (
     _CERT_PRIMES,
     Certificate,
+    IndeterminateFactorization,
     _iroot,
+    classify,
     irreducibility_certificate,
+    is_normalized,
     normalize,
     nu2,
     nu3,
@@ -118,6 +122,16 @@ def test_iroot_is_exact_near_perfect_powers():
         assert k**n <= x < (k + 1) ** n
 
 
+
+def test_iroot_is_exact_past_3000_bits():
+    rng = random.Random(3000)
+    for n in (3, 5, 8, 9):
+        x = rng.randrange(2**3000, 2**3100)
+        k = _iroot(x, n)
+        assert k**n <= x < (k + 1) ** n, n
+        assert _iroot(k**n, n) == k and _iroot(k**n - 1, n) == k - 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(-(10**30), 10**30),
@@ -137,6 +151,21 @@ def test_normalize_strips_scaling(a0, b0, p, k):
 def test_normalize_is_idempotent(a0, b0, m):
     a, b = normalize(a0 * m**8, b0 * m**9)
     assert normalize(a, b) == (a, b)
+
+
+def test_normalize_says_when_a_prime_may_be_left():
+    # gcd(a, b) = q^8 r.  The factoring budget cannot split it with q of 21
+    # digits, so q^8 | a and q^9 | b may remain; with q of 6 digits rho finds q.
+    r = nextprime(10**18)
+    q = nextprime(10**20)
+    a, b = 5 * q**8 * r, 7 * q**9 * r
+    assert normalize(a, b) == (a, b)
+    with pytest.raises(IndeterminateFactorization):
+        is_normalized(a, b)
+    assert any(w.startswith("normalization undecided") for w in classify(a, b).warnings)
+    q = nextprime(10**5)
+    assert normalize(5 * q**8 * r, 7 * q**9 * r) == (5 * r, 7 * r)
+    assert is_normalized(5 * r, 7 * r)
 
 
 def test_index_path_beyond_float_range():
