@@ -13,6 +13,7 @@ import math
 INFINITY = math.inf
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 # _PSI[k - 1] is the smallest strong pseudoprime to all of the first k prime
@@ -174,13 +175,14 @@ def perfect_power(n: int):
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
+    if p not in _SMALL_PRIME_SET and not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 
 def val(p: int, m: int) -> int | float:
     """nu_p(m): the largest k with p^k | m, or INFINITY for m = 0."""
-    _require_prime(p)
+    if p not in _SMALL_PRIME_SET:
+        _require_prime(p)
     if m == 0:
         return INFINITY
     k = 0

@@ -56,24 +56,6 @@ def zmul(f, g) -> tuple:
     return ztrim(out)
 
 
-def zdivmod_monic(f, g) -> tuple:
-    """Exact quotient/remainder by a monic g, no fractions introduced."""
-    if not g or g[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return (), ztrim(rem)
-    quo = [0] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1]
-        quo[i] = c
-        if c:
-            for j, y in enumerate(g):
-                rem[i + j] -= c * y
-    return ztrim(quo), ztrim(rem[: len(g) - 1])
-
-
 def zeval(f, x: int) -> int:
     acc = 0
     for c in reversed(f):
@@ -90,16 +72,37 @@ def phi_expand(f, phi) -> list:
     """Coefficients a_0..a_l of the phi-adic expansion of f.
 
     Each a_i is an integer polynomial of degree < deg(phi), and
-    sum a_i * phi^i reconstructs f exactly.
+    sum a_i * phi^i reconstructs f exactly.  Each division by phi runs in
+    place: the quotient is left in rem[m:] and the remainder, the next
+    digit, in rem[:m], for m = deg(phi).  A linear phi = x - s takes the
+    Taylor shift f(x + s) instead, by Horner's rule (von zur Gathen and
+    Gerhard, ISSAC 1997).
     """
     if not phi or phi[-1] != 1 or zdeg(phi) < 1:
         raise ValueError("phi must be monic of degree >= 1")
+    rem = list(ztrim(f))
+    n = len(rem)
+    if not n:
+        return [()]
+    m = zdeg(phi)
+    if m == 1:
+        s = -phi[0]
+        if s:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    rem[j] += s * rem[j + 1]
+        return [(c,) if c else () for c in rem]
+    terms = [(j, c) for j, c in enumerate(phi[:m]) if c]
     out = []
-    rem = ztrim(f)
-    while rem:
-        rem, low = zdivmod_monic(rem, phi)
-        out.append(low)
-    return out if out else [()]
+    for lo in range(0, n, m):
+        for i in range(n - 1, lo + m - 1, -1):
+            c = rem[i]
+            if c:
+                for j, y in terms:
+                    rem[i - m + j] -= c * y
+        out.append(ztrim(rem[lo : lo + m]))
+        # rem[lo + m:] is the quotient, to be divided next
+    return out
 
 
 def coeff_val(p: int, c) -> int | float:
@@ -275,10 +278,7 @@ class PhiAnalysis:
     polygon: NewtonPolygon
     sides: tuple  # SideData per polygon side
     index: int  # deg(phi) * lattice count
-
-    @property
-    def regular(self) -> bool:
-        return all(sd.squarefree for sd in self.sides)
+    regular: bool  # every side's residual polynomial is squarefree
 
 
 class ExactDivisorError(ValueError):
@@ -311,6 +311,7 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
         polygon=polygon,
         sides=tuple(sides),
         index=zdeg(phi) * lattice_index(polygon),
+        regular=all(sd.squarefree for sd in sides),
     )
 
 

@@ -23,6 +23,11 @@ def test_val_rejects_composite_p():
         val(4, 8)
     with pytest.raises(ValueError):
         val(1, 8)
+    # 2209 = 47^2 is the first composite with no prime factor below 47
+    for p in (9, 2209):
+        with pytest.raises(ValueError):
+            val(p, p)
+    assert val(53, 53**3 * 2) == 3  # the first prime past the small-prime set
 
 
 def test_val_on_discriminants():

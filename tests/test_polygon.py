@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonicindex import gf
 from nonicindex.arith import INFINITY, val
@@ -65,6 +67,39 @@ def test_phi_expand_reconstruction_random():
             power = zmul(power, phi)
         assert acc == f
         assert all(len(c) - 1 < len(phi) - 1 for c in exp if c)
+
+
+def _reference_expand(f, phi) -> list:
+    """The phi-adic expansion by repeated division: each step divides the
+    last quotient by the monic phi, and its remainder is the next digit."""
+    out = []
+    rem = ztrim(f)
+    while rem:
+        quo = [0] * max(0, len(rem) - len(phi) + 1)
+        rem = list(rem)
+        for i in range(len(quo) - 1, -1, -1):
+            c = quo[i] = rem[i + len(phi) - 1]
+            for j, y in enumerate(phi):
+                rem[i + j] -= c * y
+        out.append(ztrim(rem[: len(phi) - 1]))
+        rem = ztrim(quo)
+    return out if out else [()]
+
+
+COEFFS = st.one_of(st.just(0), st.integers(-(10**45), 10**45))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(COEFFS, min_size=1, max_size=13),
+       st.lists(COEFFS, min_size=1, max_size=3).map(lambda c: tuple(c) + (1,)))
+def test_phi_expand_matches_repeated_division(f, phi):
+    exp = phi_expand(f, phi)
+    assert exp == _reference_expand(f, phi)
+    acc, power = (), (1,)
+    for c in exp:
+        acc = zsub(acc, tuple(-x for x in zmul(c, power)))
+        power = zmul(power, phi)
+    assert acc == ztrim(f)
 
 
 def test_principal_polygon_examples():
@@ -260,6 +295,33 @@ def test_tame_discriminant_identity():
             rhs = 2 * res.index + sum((e - 1) * f for e, f in res.splitting.primes)
             assert lhs == rhs, (p, a, b)
             n += 1
+
+
+def _signed(digits: int, n: int, negative: bool) -> int:
+    n = 10 ** (digits - 1) + n % (9 * 10 ** (digits - 1))  # exactly `digits` digits
+    return -n if negative else n
+
+
+BIG = st.builds(_signed, st.integers(1, 45), st.integers(0, 10**45), st.booleans())
+SCALE = st.one_of(st.just(0), st.integers(1, 9))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(BIG, BIG, st.sampled_from((2, 3, 5, 7)), SCALE, SCALE)
+def test_ore_invariants_on_big_pairs(a, b, q, ka, kb):
+    # pairs of 1-45 digits, some scaled by powers of q: wherever the engine
+    # is regular the splitting has mass 9, and where it is also tame,
+    # nu_p(disc) = 2 * index + sum (e-1) f
+    a, b = a * q**ka, b * q**kb
+    for p in (2, 3, 5, 7):
+        try:
+            res = ore_analyze(trinomial(a, b), p)
+        except (NotRegularError, ValueError):
+            continue
+        assert res.splitting.mass == 9, (p, a, b)
+        if all(e % p for e, _ in res.splitting.primes):
+            rhs = 2 * res.index + sum((e - 1) * f for e, f in res.splitting.primes)
+            assert val(p, disc(a, b)) == rhs, (p, a, b)
 
 
 def test_coeff_val():
