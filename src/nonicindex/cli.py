@@ -21,7 +21,7 @@ from .nonic import (
     disc,
 )
 from .polygon import ExactDivisorError, analyze_phi, trinomial, ztrim
-from .verify import CSV_HEADER, run_suite
+from .verify import CSV_HEADER, check_sweep_options, run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -178,6 +178,10 @@ def _cmd_verify(args) -> int:
         "lifts": args.lifts,
         "seed": args.seed,
     }
+    try:
+        check_sweep_options(args.suite, args.prime, args.modulus, args.lifts)
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2
     report = run_suite(
         args.suite, prime=args.prime, modulus=args.modulus,
         lifts=args.lifts, seed=args.seed,
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--csv", default=None)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, usage_error=p_verify.error)
     return parser
 
 

@@ -180,6 +180,9 @@ def certified_lift(a0: int, b0: int, modulus: int, rng: random.Random, span: int
 # ---------------------------------------------------------------------------
 # suites
 
+# the primes each residue-class sweep runs at
+SUITE_PRIMES = {"dedekind": (2, 3), "agreement": (2, 3, 5, 7)}
+
 
 def order_max_predicted(a: int, b: int, p: int) -> bool:
     """The congruence-level maximality verdict at p in {2, 3}."""
@@ -206,7 +209,7 @@ def sweep_dedekind(
     class_filter=None,
 ) -> SweepReport:
     """Congruence conditions vs the Dedekind criterion over a class grid."""
-    if p not in (2, 3):
+    if p not in SUITE_PRIMES["dedekind"]:
         raise ValueError("dedekind sweep runs at p in {2, 3}")
     rng = random.Random(seed)
     report = SweepReport("dedekind", p, modulus, lifts_per_class, seed)
@@ -251,7 +254,7 @@ def sweep_agreement(
     check is the residue-degree bound: no f ever has more primes than
     monic irreducibles, so nu_p = 0.
     """
-    if p not in (2, 3, 5, 7):
+    if p not in SUITE_PRIMES["agreement"]:
         raise ValueError("agreement sweep runs at p in {2, 3, 5, 7}")
     rng = random.Random(seed)
     report = SweepReport("agreement", p, modulus, lifts_per_class, seed)
@@ -383,18 +386,34 @@ def check_tables() -> SweepReport:
     return report
 
 
+def check_sweep_options(name: str, prime=None, modulus=None, lifts=None) -> None:
+    """Raise ValueError for options of a residue-class sweep that would
+    crash it or make it check nothing; None stands for the default."""
+    if name not in SUITE_PRIMES:
+        return
+    if prime is not None and prime not in SUITE_PRIMES[name]:
+        raise ValueError(f"the {name} suite runs at p in {SUITE_PRIMES[name]}, not {prime}")
+    if modulus is not None and (modulus < 1 or modulus % 6 == 0):
+        raise ValueError(f"modulus must be positive and prime to 2 or to 3, not {modulus}")
+    if lifts is not None and lifts < 1:
+        raise ValueError(f"lifts must be positive, not {lifts}")
+
+
 def run_suite(name: str, prime=None, modulus=None, lifts=None, seed=1) -> SweepReport:
+    check_sweep_options(name, prime, modulus, lifts)
     if name == "examples":
         return check_examples()
     if name == "tables":
         return check_tables()
     if name == "dedekind":
-        p = prime or 2
-        return sweep_dedekind(p, modulus or (4 if p == 2 else 9), lifts or 10, seed)
+        p = 2 if prime is None else prime
+        if modulus is None:
+            modulus = 4 if p == 2 else 9
+        return sweep_dedekind(p, modulus, 10 if lifts is None else lifts, seed)
     if name == "agreement":
-        p = prime or 3
+        p = 3 if prime is None else prime
         if modulus is None:
             modulus = {2: 16, 3: 243, 5: 5, 7: 7}[p]
         flt = (lambda a, b: a % 3 == 0) if p == 3 else None
-        return sweep_agreement(p, modulus, lifts or 1, seed, class_filter=flt)
+        return sweep_agreement(p, modulus, 1 if lifts is None else lifts, seed, class_filter=flt)
     raise ValueError(f"unknown suite {name!r}")

@@ -1,11 +1,14 @@
 """The CLI is total on integer input: every pair of integers for --a and --b,
-given to classify or to polygon, ends with exit code 0, 1, 2 or 3 and never
-prints a traceback."""
+given to classify or to polygon, and every --prime, --modulus and --lifts
+given to verify, ends with exit code 0, 1, 2 or 3 and never prints a
+traceback.  verify rejects options that would check nothing with a usage
+message and exit code 2."""
 
 import contextlib
 import io
 import traceback
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,3 +59,42 @@ def test_polygon_cli_is_total(a, b, p, phi, as_json):
     code, text = _run(argv + ["--json"] * as_json)
     assert code in (0, 1, 2, 3), text
     assert "Traceback" not in text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("examples", "dedekind", "agreement", "tables")),
+       st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers()),
+       st.integers(-3, 16), st.integers(-2, 2))
+@example("dedekind", 4, 4, 1)
+@example("agreement", 11, 5, 1)
+@example("agreement", 2, 6, 1)
+@example("agreement", 2, 0, 1)
+@example("agreement", 2, -3, 1)
+@example("agreement", 2, 16, -1)
+@example("agreement", 2, 16, 0)
+@example("agreement", 0, 16, 1)
+def test_verify_cli_is_total(suite, prime, modulus, lifts):
+    argv = ["verify", "--suite", suite, "--prime", str(prime),
+            "--modulus", str(modulus), "--lifts", str(lifts)]
+    code, text = _run(argv)
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in text
+    assert "checked 0 of 0" not in text
+
+
+@pytest.mark.parametrize("options", [
+    "--suite dedekind --prime 4",
+    "--suite agreement --prime 11",
+    "--suite agreement --prime 2 --modulus 6",
+    "--suite agreement --prime 2 --modulus 0",
+    "--suite agreement --prime 2 --modulus -4",
+    "--suite agreement --prime 2 --lifts -1",
+    "--suite agreement --prime 2 --lifts 0",
+    "--suite dedekind --lifts 0",
+    "--suite agreement --prime 0",
+    "--suite dedekind --prime 0",
+])
+def test_verify_rejects_options_that_check_nothing(options):
+    code, text = _run(["verify"] + options.split())
+    assert code == 2, text
+    assert text.startswith("usage:") and "Traceback" not in text
