@@ -232,10 +232,11 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
 
     Trial division by the primes up to _TRIAL_LIMIT, then for each
     remaining composite: Brent's rho, round r walking from y = 2 + r with
-    c = 1 + r, for at most _RHO_UNITS in all; then ECM calls of
-    _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1, 2, ...  Every
-    step is charged to one budget of _FACTOR_BUDGET units per call; a part
-    the budget cannot afford, or with more than _FACTOR_DIGITS digits, is
+    c = 1 + r, for at most _RHO_UNITS in all; then ECM calls of up to
+    _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1, 2, ..., each
+    call as many curves as the budget still affords.  Every step is
+    charged to one budget of _FACTOR_BUDGET units per call; a part the
+    budget cannot afford, or with more than _FACTOR_DIGITS digits, is
     left unfactored.  The same n always gets the same answer.
 
     Returns (factors, leftover): factors maps primes to exponents, in
@@ -278,14 +279,16 @@ def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
             if d is not None:
                 break
         seed = 1
-        cost = _ECM_CURVES * _ECM_CURVE_UNITS * weight
-        while d is None and budget >= cost:
-            budget -= cost
+        while d is None:
+            curves = min(_ECM_CURVES, budget // (_ECM_CURVE_UNITS * weight))
+            if not curves:
+                break
+            budget -= curves * _ECM_CURVE_UNITS * weight
             from sympy.ntheory import ecm  # imported on first use: few inputs get here
 
             try:
                 # a set of distinct primes of m: take one, split m by it
-                d = min(ecm(m, _ECM_B1, _ECM_B2, _ECM_CURVES, seed))
+                d = min(ecm(m, _ECM_B1, _ECM_B2, curves, seed))
             except ValueError:
                 seed += 1
         if d is None:

@@ -21,8 +21,9 @@ HUGE = (10**399 + 7, 10**400 + 1)  # a discriminant of 3,599 digits
 
 
 def _record_effort(monkeypatch):
-    """Count the rho steps, ECM calls and primality-test arguments of the chain."""
-    effort = {"rho_steps": 0, "ecm_calls": 0, "isprime_digits": []}
+    """Count the rho steps, ECM calls and curves and primality-test arguments
+    of the chain."""
+    effort = {"rho_steps": 0, "ecm_calls": 0, "ecm_curves": 0, "isprime_digits": []}
     walk, ecm, prime = nonic._brent, sympy.ntheory.ecm, nonic.is_prime
 
     def counted_walk(n, c, y, cap):
@@ -30,9 +31,10 @@ def _record_effort(monkeypatch):
         effort["rho_steps"] += steps
         return d, steps
 
-    def counted_ecm(*args):
+    def counted_ecm(n, B1, B2, curves, seed):
         effort["ecm_calls"] += 1
-        return ecm(*args)
+        effort["ecm_curves"] += curves
+        return ecm(n, B1, B2, curves, seed)
 
     def counted_isprime(n):
         effort["isprime_digits"].append(len(str(n)))
@@ -78,6 +80,21 @@ def test_hard_discriminants_factor_completely(a, b):
     assert leftover == 1
     assert factors == factorint(n)
     assert classify(a, b).monogenic_order is not None
+
+
+def test_ecm_runs_within_the_budget_on_a_large_cofactor(monkeypatch):
+    # a 179-digit cofactor (592 bits, weight 5): 16 curves would cost more
+    # than the whole budget, so a call runs the curves the budget affords
+    effort = _record_effort(monkeypatch)
+    q, r = nextprime(10**20), nextprime(10**18)
+    n = q**8 * r
+    weight = 1 + (n.bit_length() >> 8) ** 2
+    assert nonic._ECM_CURVES * nonic._ECM_CURVE_UNITS * weight > nonic._FACTOR_BUDGET
+    factors, leftover = bounded_factor(n)
+    assert prod(p**e for p, e in factors.items()) * leftover == n
+    assert effort["ecm_calls"] >= 1
+    spent = (effort["rho_steps"] + effort["ecm_curves"] * nonic._ECM_CURVE_UNITS) * weight
+    assert spent <= nonic._FACTOR_BUDGET
 
 
 def test_classify_is_total_above_the_digit_ceiling(monkeypatch):

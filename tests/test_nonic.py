@@ -72,7 +72,7 @@ def test_rho_rounds_start_distinct_walks(monkeypatch):
 
     monkeypatch.setattr(nonic, "_brent", failing_walk)
     # a budget too small for one ECM call: the rho rounds are all there is
-    monkeypatch.setattr(nonic, "_FACTOR_BUDGET", nonic._ECM_CURVES * nonic._ECM_CURVE_UNITS - 1)
+    monkeypatch.setattr(nonic, "_FACTOR_BUDGET", nonic._ECM_CURVE_UNITS - 1)
     n = 1000003 * 1000033  # two primes beyond the trial-division limit
     assert bounded_factor(n) == ({}, n)
     assert len(starts) == 16 and len(set(starts)) == 16
