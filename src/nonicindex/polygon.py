@@ -72,11 +72,12 @@ def phi_expand(f, phi) -> list:
     """Coefficients a_0..a_l of the phi-adic expansion of f.
 
     Each a_i is an integer polynomial of degree < deg(phi), and
-    sum a_i * phi^i reconstructs f exactly.  Each division by phi runs in
-    place: the quotient is left in rem[m:] and the remainder, the next
-    digit, in rem[:m], for m = deg(phi).  A linear phi = x - s takes the
-    Taylor shift f(x + s) instead, by Horner's rule (von zur Gathen and
-    Gerhard, ISSAC 1997).
+    sum a_i * phi^i reconstructs f exactly.  The divisions by phi run in
+    place in one list: each leaves its remainder, the next digit, in the
+    m = deg(phi) lowest places of what it divided, and its quotient, the
+    next dividend, above them.  A linear phi = x - s takes the Taylor
+    shift f(x + s) instead, by Horner's rule (von zur Gathen and Gerhard,
+    ISSAC 1997).
     """
     if not phi or phi[-1] != 1 or zdeg(phi) < 1:
         raise ValueError("phi must be monic of degree >= 1")
@@ -101,7 +102,6 @@ def phi_expand(f, phi) -> list:
                 for j, y in terms:
                     rem[i - m + j] -= c * y
         out.append(ztrim(rem[lo : lo + m]))
-        # rem[lo + m:] is the quotient, to be divided next
     return out
 
 
