@@ -23,11 +23,15 @@ def test_val_rejects_composite_p():
         val(4, 8)
     with pytest.raises(ValueError):
         val(1, 8)
+
+
+def test_val_proves_primes_outside_the_small_set():
+    # val takes p = 2, ..., 47 on sight and proves any other p prime;
     # 2209 = 47^2 is the first composite with no prime factor below 47
-    for p in (9, 2209):
+    for p in (1, 4, 9, 2209):
         with pytest.raises(ValueError):
             val(p, p)
-    assert val(53, 53**3 * 2) == 3  # the first prime past the small-prime set
+    assert val(53, 53**3 * 2) == 3  # the first prime past the set
 
 
 def test_val_on_discriminants():

@@ -31,10 +31,10 @@ def _record_effort(monkeypatch):
         effort["rho_steps"] += steps
         return d, steps
 
-    def counted_ecm(n, B1, B2, curves, seed):
+    def counted_ecm(*args):
         effort["ecm_calls"] += 1
-        effort["ecm_curves"] += curves
-        return ecm(n, B1, B2, curves, seed)
+        effort["ecm_curves"] += args[3]  # ecm(n, B1, B2, max_curve, seed)
+        return ecm(*args)
 
     def counted_isprime(n):
         effort["isprime_digits"].append(len(str(n)))
