@@ -3,13 +3,16 @@
 Polynomials are tuples of field elements, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
-ints.  pmul and pdivmod work on plain ints over F_p (F.degree == 1),
-reducing mod p once per coefficient, and go through the field's add/mul
-only over extensions.  Everything is deterministic: factor() uses
-squarefree splitting, then distinct-degree splitting, then equal-degree
-splitting by exhaustive search over monic candidates, which is fine for
-the operating envelope (degree <= 9, q <= 343).  is_irreducible is the
-same squarefree test followed by one distinct-degree pass.
+ints.  Over F_p (F.degree == 1), pmul, pdivmod and pgcd work on plain
+ints, reducing mod p once per coefficient, and go through the field's
+add/mul only over extensions; ppowmod is built on them, and
+distinct_degree takes each next Frobenius power as one product with a
+matrix built once per polynomial.  Everything is deterministic: factor()
+uses squarefree splitting, then distinct-degree splitting, then
+equal-degree splitting by exhaustive search over monic candidates, which
+is fine for the operating envelope (degree <= 9, q <= 343).
+is_irreducible is the same squarefree test followed by one
+distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -216,15 +219,6 @@ def pdeg(c) -> int:
     return len(c) - 1
 
 
-def padd(F, f, g) -> tuple:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, e in enumerate(g):
-        out[i] = F.add(out[i], e)
-    return ptrim(out)
-
-
 def psub(F, f, g) -> tuple:
     out = list(f) + [F.zero] * max(0, len(g) - len(f))
     for i, e in enumerate(g):
@@ -316,12 +310,34 @@ def pmonic(F, f) -> tuple:
 
 
 def pgcd(F, f, g) -> tuple:
+    if F.degree == 1:
+        return _pgcd_ints(F.p, f, g)
     f, g = ptrim(f), ptrim(g)
     while g:
         f, g = g, pmod(F, f, g)
     if not f:
         return ()
     return pmonic(F, f)[1]
+
+
+def _pgcd_ints(p: int, f, g) -> tuple:
+    """pgcd over F_p on plain ints: Euclid on remainders alone, each
+    reduced mod p once per coefficient."""
+    f, g = _trim_ints(f), _trim_ints(g)
+    while g:
+        m = len(g) - 1
+        lead_inv = pow(g[-1], -1, p)
+        rem = list(f)
+        for i in range(len(rem) - 1, m - 1, -1):
+            c = rem[i] * lead_inv % p
+            if c:
+                for j in range(m):
+                    rem[i - m + j] -= c * g[j]
+        f, g = g, _trim_ints([c % p for c in rem[:m]])
+    if not f:
+        return ()
+    lead_inv = pow(f[-1], -1, p)
+    return tuple(c * lead_inv % p for c in f)
 
 
 def ppowmod(F, f, n: int, mod) -> tuple:
@@ -390,15 +406,23 @@ def _pth_root_poly(F, f) -> tuple:
 
 
 def distinct_degree(F, f):
-    """Split monic squarefree f into [(product of its degree-d factors, d)]."""
+    """Split monic squarefree f into [(product of its degree-d factors, d)].
+
+    Step d takes gcd(x^(q^d) - x, rem), where rem is what the earlier steps
+    left of f.  Over an extension each step raises w = x^(q^(d-1)) to the
+    q-th power mod rem; over F_p it is one product with f's Frobenius
+    matrix instead (_frobenius_ints), whose result mod f serves for rem,
+    a divisor of f.
+    """
     out = []
     x = (F.zero, F.one)
     w = x
     d = 0
     rem = f
+    frobenius = _frobenius_ints(F, f) if F.degree == 1 and pdeg(f) >= 2 else None
     while pdeg(rem) >= 2 * (d + 1):
         d += 1
-        w = ppowmod(F, w, F.q, rem)
+        w = frobenius(w) if frobenius else ppowmod(F, w, F.q, rem)
         g = pgcd(F, psub(F, w, x), rem)
         if pdeg(g) > 0:
             out.append((g, d))
@@ -407,6 +431,31 @@ def distinct_degree(F, f):
     if pdeg(rem) > 0:
         out.append((rem, pdeg(rem)))
     return out
+
+
+def _frobenius_ints(F, f):
+    """The map w -> w^p mod f over F_p, for w of degree < deg f.
+
+    It is linear over F_p, so w^p is a combination of the rows x^(i p) mod f
+    of Berlekamp's matrix (Bell Syst. Tech. J. 1967), built once per f:
+    iterating it gives x^(p^d) for each d in turn (von zur Gathen and
+    Shoup, Comput. Complexity 1992).  x^p is a monomial while p < deg f.
+    """
+    p, n = F.p, pdeg(f)
+    xp = (0,) * p + (1,) if p < n else ppowmod(F, (0, 1), p, f)
+    rows = [(1,), xp]
+    while len(rows) < n:
+        rows.append(pmod(F, pmul(F, xp, rows[-1]), f))
+
+    def frobenius(w):
+        acc = [0] * n
+        for c, row in zip(w, rows):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] += c * r
+        return _trim_ints([c % p for c in acc])
+
+    return frobenius
 
 
 def _equal_degree_exhaustive(F, f, d: int):

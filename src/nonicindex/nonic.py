@@ -84,7 +84,7 @@ def is_normalized(a: int, b: int) -> bool:
     """
     if (a, b) == (0, 0):
         return False
-    stripped, unsplit = _normalize(a, b)
+    stripped, unsplit, _ = _normalize(a, b)
     if stripped != (a, b):
         return False
     if unsplit != 1:
@@ -107,9 +107,11 @@ def normalize(a: int, b: int) -> tuple:
     return _normalize(a, b)[0]
 
 
-def _normalize(a: int, b: int) -> tuple:
-    """((a, b) normalized, unsplit).  unsplit is 1, or the part of the gcd
-    that bounded_factor left unfactored when it is at least _TRIAL_LIMIT^8.
+def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
+    """((a, b) normalized, unsplit, factored).  unsplit is 1, or the part of
+    the gcd that bounded_factor left unfactored when it is at least
+    _TRIAL_LIMIT^8.  factored maps the part of the gcd that went to
+    bounded_factor, if any, to its result, for _local_failure to reuse.
 
     Every prime found is tested, whatever its count, so a prime that was
     not stripped but should have been lies wholly in that part, eight
@@ -117,12 +119,13 @@ def _normalize(a: int, b: int) -> tuple:
     """
     g = gcd(a, b)
     if g < 2**8:
-        return (a, b), 1
+        return (a, b), 1, {}
     factors: dict = {}
     rest = _trial_divide(g, factors)
     unsplit = 1
+    factored = {}
     if rest >= _TRIAL_LIMIT**8:
-        found, leftover = bounded_factor(rest)
+        found, leftover = factored[rest] = bounded_factor(rest, rho_rounds)
         factors.update(found)
         if leftover >= _TRIAL_LIMIT**8:
             unsplit = leftover
@@ -130,7 +133,7 @@ def _normalize(a: int, b: int) -> tuple:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
-    return (a, b), unsplit
+    return (a, b), unsplit, factored
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +348,14 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     root, the smallest one being reported.  Unknown otherwise.
 
     F is monic, so F mod p is squarefree exactly when p does not divide
-    disc(a, b).  Each such prime p <= 100 costs one distinct-degree pass,
-    which gives both verdicts: a single part of degree 9 means F is
-    irreducible mod p, and otherwise the parts give the degree pattern.
+    disc(a, b), and then the degrees of its irreducible factors give both
+    verdicts: a single factor of degree 9 means F is irreducible mod p.
+    At p = 2 and 3 they are read from gf.factor: the certificate visits 2
+    only when b is odd and 3 only when 3 does not divide a, which is when
+    nu2 and nu3 factor the same reduction (through ore_analyze), so the
+    one factorization serves both from gf.factor's cache.  At each other
+    p <= 100 they come from one distinct-degree pass, whose Frobenius
+    powers x^(p^d) mod F are products with one Frobenius matrix per prime.
 
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
@@ -374,12 +382,14 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
             continue  # F mod p is not squarefree: neither irreducible nor usable
         field_p = gf.PrimeField(p)
         fbar = gf.reduce_mod_p(F, p)
-        parts = gf.distinct_degree(field_p, fbar)
-        if parts == [(fbar, 9)]:
+        if p <= 3:
+            # nu2 / nu3 factor this same reduction through ore_analyze
+            degrees = [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
+        else:
+            degrees = [d for part, d in gf.distinct_degree(field_p, fbar)
+                       for _ in range(gf.pdeg(part) // d)]
+        if degrees == [9]:
             return Certificate.PROVEN, f"irreducible mod {p}"
-        degrees = []
-        for part, d in parts:
-            degrees.extend([d] * (gf.pdeg(part) // d))
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
@@ -420,16 +430,27 @@ def _disc_prime_to_6(a: int, b: int) -> int:
     return unit_part(3, unit_part(2, abs(d)))
 
 
-def _local_failure(a: int, b: int, rho_rounds: int) -> str | None:
-    """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b)."""
+def _local_failure(a: int, b: int, rho_rounds: int, factored=None) -> str | None:
+    """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b).
+
+    The gcd is factored as bounded_factor would factor it: trial division,
+    then the chain on the rest, unless factored (from _normalize) already
+    holds the chain's result for that same rest.
+    """
     g = gcd(a, b)
     if g > 1:
-        gfac, leftover = bounded_factor(g, rho_rounds)
+        gfac: dict = {}
+        rest = _trial_divide(g, gfac)
+        if factored and rest in factored:
+            found, leftover = factored[rest]
+        else:
+            found, leftover = bounded_factor(rest, rho_rounds)
+        gfac.update(found)
         if leftover != 1:
             raise IndeterminateFactorization(
                 f"gcd(a,b) has an unfactored part {leftover}"
             )
-        for p in gfac:
+        for p in sorted(gfac):
             if val(p, b) != 1:
                 return f"p={p} divides a and b with nu_p(b) != 1"
     if a % 2 and b % 2 == 0:
@@ -806,10 +827,13 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     polygon engine meets, raises ReduciblePolynomial), computes nu_2 and
     nu_3, records nu_p = 0 for the primes p >= 5 dividing the
     discriminant, and assembles i(K) = 2^nu2 * 3^nu3 when both are exact.
+    Each integer is factored once: the discriminant's part prime to 6, and
+    the part of gcd(a, b) past trial division, whose factors serve both
+    normalization and the maximality test.
     """
     a_in, b_in = a, b
     warnings = []
-    (a, b), unsplit = _normalize(a, b)
+    (a, b), unsplit, factored_gcd = _normalize(a, b, rho_rounds)
     if (a, b) != (a_in, b_in):
         warnings.append(f"input normalized to (a, b) = ({a}, {b})")
     if unsplit != 1:
@@ -842,7 +866,8 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
                 "it are omitted from the report (their nu is 0 regardless)"
             )
     try:
-        failing = _local_failure(a, b, rho_rounds) or _square_failure(a, b, factored)
+        failing = (_local_failure(a, b, rho_rounds, factored_gcd)
+                   or _square_failure(a, b, factored))
         maximal = failing is None
     except IndeterminateFactorization as exc:
         maximal, failing = None, str(exc)

@@ -388,7 +388,15 @@ def check_tables() -> SweepReport:
 
 def check_sweep_options(name: str, prime=None, modulus=None, lifts=None) -> None:
     """Raise ValueError for options of a residue-class sweep that would
-    crash it or make it check nothing; None stands for the default."""
+    crash it or make it check nothing; None stands for the default.  The
+    examples and tables suites take none of these options, so they reject
+    any value rather than ignore it."""
+    if name in ("examples", "tables"):
+        given = [f"--{opt}" for opt, value in
+                 (("prime", prime), ("modulus", modulus), ("lifts", lifts)) if value is not None]
+        if given:
+            raise ValueError(f"the {name} suite takes no {', '.join(given)}")
+        return
     if name not in SUITE_PRIMES:
         return
     if prime is not None and prime not in SUITE_PRIMES[name]:

@@ -1,8 +1,8 @@
 """The CLI is total on integer input: every pair of integers for --a and --b,
 given to classify or to polygon, and every --prime, --modulus and --lifts
 given to verify, ends with exit code 0, 1, 2 or 3 and never prints a
-traceback.  verify rejects options that would check nothing with a usage
-message and exit code 2."""
+traceback.  verify rejects options that would check nothing, or that its
+suite would ignore, with a usage message and exit code 2."""
 
 import contextlib
 import io
@@ -93,6 +93,10 @@ def test_verify_cli_is_total(suite, prime, modulus, lifts):
     "--suite dedekind --lifts 0",
     "--suite agreement --prime 0",
     "--suite dedekind --prime 0",
+    "--suite examples --lifts -1",
+    "--suite examples --prime 2",
+    "--suite tables --modulus 16",
+    "--suite tables --prime 3 --lifts 1",
 ])
 def test_verify_rejects_options_that_check_nothing(options):
     code, text = _run(["verify"] + options.split())

@@ -1,27 +1,51 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_mul, gf_pow_mod
+from sympy.polys.galoistools import (
+    gf_div,
+    gf_gcd,
+    gf_monic,
+    gf_mul,
+    gf_mul_ground,
+    gf_pow_mod,
+    gf_quo,
+    gf_rem,
+    gf_sqf_p,
+    gf_sub,
+)
 
 from nonicindex import gf
 from nonicindex.gf import (
     ExtField,
     PrimeField,
     count_monic_irreducible,
+    distinct_degree,
     enumerate_monic,
     factor,
     is_irreducible,
     pdeg,
     pdivmod,
     pgcd,
+    pmonic,
     pmul,
     ppowmod,
+    pscale,
+    psub,
     ptrim,
     radical,
     reduce_mod_p,
+)
+from nonicindex.nonic import (
+    INFINITY,
+    Certificate,
+    _smallest_integer_root,
+    disc,
+    irreducibility_certificate,
+    val,
 )
 from nonicindex.polygon import trinomial
 
@@ -182,3 +206,110 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
     assert pdivmod(field, f, g) == (_from_sympy(quo, p), _from_sympy(rem, p))
     expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
     assert ppowmod(field, f, n, g) == _from_sympy(expected, p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5, 7, 97)).flatmap(_fp_case))
+def test_fp_gcd_sub_scale_monic_match_sympy_galoistools(case):
+    p, f, g, n = case
+    field = PrimeField(p)
+    sf, sg = _to_sympy(f), _to_sympy(g)
+    assert pgcd(field, f, g) == _from_sympy(gf_gcd(sf, sg, p, ZZ), p)
+    assert psub(field, f, g) == _from_sympy(gf_sub(sf, sg, p, ZZ), p)
+    assert pscale(field, f, n % p) == _from_sympy(gf_mul_ground(sf, n % p, p, ZZ), p)
+    if f:
+        lead, monic = gf_monic(sf, p, ZZ)
+        assert pmonic(field, f) == (int(lead), _from_sympy(monic, p))
+
+
+# ---------------------------------------------------------------------------
+# distinct_degree over F_p against the algorithm it replaced
+
+
+def _reference_distinct_degree(p, f):
+    """distinct_degree as it ran before the Frobenius matrix: for each d a
+    fresh q-th power of w = x^(p^(d-1)) mod rem by repeated squaring, then
+    gcd(w - x, rem); on sympy's galoistools, so it shares no code with gf."""
+    out = []
+    x = [ZZ(1), ZZ(0)]
+    w, d, rem = x, 0, _to_sympy(f)
+    while len(rem) - 1 >= 2 * (d + 1):
+        d += 1
+        w = gf_pow_mod(w, p, rem, p, ZZ)
+        g = gf_gcd(gf_sub(w, x, p, ZZ), rem, p, ZZ)
+        if len(g) > 1:
+            out.append((_from_sympy(g, p), d))
+            rem = gf_quo(rem, g, p, ZZ)
+            w = gf_rem(w, rem, p, ZZ)
+    if len(rem) > 1:
+        out.append((_from_sympy(rem, p), len(rem) - 1))
+    return out
+
+
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def _squarefree_monic(p):
+    coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=12)
+    return st.tuples(st.just(p), coeffs.map(lambda c: tuple(c) + (1,))).filter(
+        lambda case: gf_sqf_p(_to_sympy(case[1]), p, ZZ))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIMES_TO_97).flatmap(_squarefree_monic))
+def test_distinct_degree_matches_reference(case):
+    p, f = case
+    assert distinct_degree(PrimeField(p), f) == _reference_distinct_degree(p, f)
+
+
+def _reference_certificate(a, b):
+    """irreducibility_certificate as it was built before p = 2 and 3 were
+    read from gf.factor: one reference distinct-degree pass per prime."""
+    if b == 0:
+        return Certificate.REDUCIBLE, "x divides x^9 + ax"
+    root = _smallest_integer_root(a, b)
+    if root is not None:
+        return Certificate.REDUCIBLE, f"integer root x = {root}"
+    for p in (q for q in PRIMES_TO_97 if b % q == 0):
+        vb, va = val(p, b), val(p, a) if a else INFINITY
+        if 8 * vb < 9 * va and gcd(vb, 9) == 1:
+            return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
+    allowed = None
+    for p in PRIMES_TO_97:
+        if disc(a, b) % p == 0:
+            continue
+        fbar = reduce_mod_p(trinomial(a, b), p)
+        parts = _reference_distinct_degree(p, fbar)
+        if parts == [(fbar, 9)]:
+            return Certificate.PROVEN, f"irreducible mod {p}"
+        sums = {0}
+        for part, d in parts:
+            for _ in range(pdeg(part) // d):
+                sums |= {s + d for s in sums}
+        allowed = sums if allowed is None else allowed & sums
+        if allowed == {0, 9}:
+            return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
+    return Certificate.UNKNOWN, "no cheap certificate found"
+
+
+def test_certificate_matches_reference_on_seeded_pairs():
+    # pairs of 1-45 digits; every fifth one gets an integer root r, and
+    # (1, 1), (17, 6) are reducible with no integer root
+    rng = random.Random(2024)
+    pairs = [(1, 1), (17, 6)]
+    for i in range(2000):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randrange(1, 46))
+                for _ in range(2))
+        if i % 5 == 0:
+            r = rng.randrange(-99, 100)
+            b = -(r**9 + a * r)
+        pairs.append((a, b))
+    verdicts = set()
+    for a, b in pairs:
+        expected = _reference_certificate(a, b)
+        assert irreducibility_certificate(a, b) == expected, (a, b)
+        verdicts.add(expected[1].split(" = ")[0].split(" mod ")[0])
+    assert verdicts == {
+        "x divides x^9 + ax", "integer root x", "one-sided polygon at p",
+        "irreducible", "mod-p factor degrees only allow trivial splits",
+        "no cheap certificate found"}, verdicts

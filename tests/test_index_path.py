@@ -5,6 +5,8 @@ The root search is checked against a plain scan of every integer up to the
 root bound; normalize against scaling by p^8, p^9.
 """
 
+import hashlib
+import json
 import random
 from math import gcd, isqrt
 
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, nextprime
 
+from nonicindex import nonic
 from nonicindex.nonic import (
     _CERT_PRIMES,
     Certificate,
@@ -166,6 +169,32 @@ def test_normalize_says_when_a_prime_may_be_left():
     q = nextprime(10**5)
     assert normalize(5 * q**8 * r, 7 * q**9 * r) == (5 * r, 7 * r)
     assert is_normalized(5 * r, 7 * r)
+
+
+@pytest.mark.parametrize("scale, digest", [
+    # nothing is stripped, and all of gcd(a, b) = q^8 r stays unfactored
+    (1, "4b2611e7f37e8782b48c10f624862493b78e56a3db566d195d5a253d87fa34d5"),
+    # 7 is stripped by trial division, and q^8 r stays unfactored
+    (7, "169d7c8fc2f76f91e04fbd5dc0a118cc57bd41ece0ef0c82f9c3fa27191ea66d"),
+])
+def test_classify_factors_the_gcd_once(monkeypatch, scale, digest):
+    # The budget cannot split q^8 r.  classify spends it on that number once,
+    # for normalization and the maximality test alike, and its report is the
+    # one it gave when it factored the number twice (digest of that JSON).
+    q, r = nextprime(10**20), nextprime(10**18)
+    a, b = scale**8 * 5 * q**8 * r, scale**9 * (3 if scale > 1 else 7) * q**9 * r
+    seen = []
+    original = nonic.bounded_factor
+
+    def counted(n, *args):
+        found, leftover = original(n, *args)
+        seen.append((n, leftover))
+        return found, leftover
+
+    monkeypatch.setattr(nonic, "bounded_factor", counted)
+    text = json.dumps(classify(a, b).to_json(), sort_keys=True)
+    assert [n for n, leftover in seen if n == leftover == q**8 * r] == [q**8 * r]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_index_path_beyond_float_range():
