@@ -8,9 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
     gf_div,
     gf_gcd,
-    gf_monic,
     gf_mul,
-    gf_mul_ground,
     gf_pow_mod,
     gf_quo,
     gf_rem,
@@ -30,22 +28,18 @@ from nonicindex.gf import (
     pdeg,
     pdivmod,
     pgcd,
-    pmonic,
     pmul,
     ppowmod,
-    pscale,
-    psub,
     ptrim,
     radical,
     reduce_mod_p,
 )
+from nonicindex.arith import INFINITY, val
 from nonicindex.nonic import (
-    INFINITY,
     Certificate,
     _smallest_integer_root,
     disc,
     irreducibility_certificate,
-    val,
 )
 from nonicindex.polygon import trinomial
 
@@ -200,26 +194,13 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
     p, f, g, n = case
     field = PrimeField(p)
     assert pmul(field, f, g) == _from_sympy(gf_mul(_to_sympy(f), _to_sympy(g), p, ZZ), p)
+    assert pgcd(field, f, g) == _from_sympy(gf_gcd(_to_sympy(f), _to_sympy(g), p, ZZ), p)
     if not g:
         return
     quo, rem = gf_div(_to_sympy(f), _to_sympy(g), p, ZZ)
     assert pdivmod(field, f, g) == (_from_sympy(quo, p), _from_sympy(rem, p))
     expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
     assert ppowmod(field, f, n, g) == _from_sympy(expected, p)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.sampled_from((2, 3, 5, 7, 97)).flatmap(_fp_case))
-def test_fp_gcd_sub_scale_monic_match_sympy_galoistools(case):
-    p, f, g, n = case
-    field = PrimeField(p)
-    sf, sg = _to_sympy(f), _to_sympy(g)
-    assert pgcd(field, f, g) == _from_sympy(gf_gcd(sf, sg, p, ZZ), p)
-    assert psub(field, f, g) == _from_sympy(gf_sub(sf, sg, p, ZZ), p)
-    assert pscale(field, f, n % p) == _from_sympy(gf_mul_ground(sf, n % p, p, ZZ), p)
-    if f:
-        lead, monic = gf_monic(sf, p, ZZ)
-        assert pmonic(field, f) == (int(lead), _from_sympy(monic, p))
 
 
 # ---------------------------------------------------------------------------
