@@ -3,9 +3,9 @@
 Polynomials are tuples of field elements, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
-ints.  Over F_p (F.degree == 1), pmul, pdivmod and pgcd work on plain
-ints, reducing mod p once per coefficient, and go through the field's
-add/mul only over extensions; ppowmod is built on them, and
+ints.  Over F_p (F.degree == 1), pmul and pdivmod work on plain ints,
+reducing mod p once per coefficient, and go through the field's add/mul
+only over extensions; pgcd and ppowmod are built on them, and
 distinct_degree takes each next Frobenius power as one product with a
 matrix built once per polynomial.  Everything is deterministic: factor()
 uses squarefree splitting, then distinct-degree splitting, then
@@ -310,34 +310,12 @@ def pmonic(F, f) -> tuple:
 
 
 def pgcd(F, f, g) -> tuple:
-    if F.degree == 1:
-        return _pgcd_ints(F.p, f, g)
     f, g = ptrim(f), ptrim(g)
     while g:
         f, g = g, pmod(F, f, g)
     if not f:
         return ()
     return pmonic(F, f)[1]
-
-
-def _pgcd_ints(p: int, f, g) -> tuple:
-    """pgcd over F_p on plain ints: Euclid on remainders alone, each
-    reduced mod p once per coefficient."""
-    f, g = _trim_ints(f), _trim_ints(g)
-    while g:
-        m = len(g) - 1
-        lead_inv = pow(g[-1], -1, p)
-        rem = list(f)
-        for i in range(len(rem) - 1, m - 1, -1):
-            c = rem[i] * lead_inv % p
-            if c:
-                for j in range(m):
-                    rem[i - m + j] -= c * g[j]
-        f, g = g, _trim_ints([c % p for c in rem[:m]])
-    if not f:
-        return ()
-    lead_inv = pow(f[-1], -1, p)
-    return tuple(c * lead_inv % p for c in f)
 
 
 def ppowmod(F, f, n: int, mod) -> tuple:

@@ -108,10 +108,10 @@ def normalize(a: int, b: int) -> tuple:
 
 
 def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
-    """((a, b) normalized, unsplit, factored).  unsplit is 1, or the part of
+    """((a, b) normalized, unsplit, chain).  unsplit is 1, or the part of
     the gcd that bounded_factor left unfactored when it is at least
-    _TRIAL_LIMIT^8.  factored maps the part of the gcd that went to
-    bounded_factor, if any, to its result, for _local_failure to reuse.
+    _TRIAL_LIMIT^8.  chain is None, or (rest, bounded_factor(rest)) for the
+    part of the gcd past trial division, for _local_failure to reuse.
 
     Every prime found is tested, whatever its count, so a prime that was
     not stripped but should have been lies wholly in that part, eight
@@ -119,13 +119,14 @@ def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
     """
     g = gcd(a, b)
     if g < 2**8:
-        return (a, b), 1, {}
+        return (a, b), 1, None
     factors: dict = {}
     rest = _trial_divide(g, factors)
     unsplit = 1
-    factored = {}
+    chain = None
     if rest >= _TRIAL_LIMIT**8:
-        found, leftover = factored[rest] = bounded_factor(rest, rho_rounds)
+        chain = (rest, bounded_factor(rest, rho_rounds))
+        found, leftover = chain[1]
         factors.update(found)
         if leftover >= _TRIAL_LIMIT**8:
             unsplit = leftover
@@ -133,7 +134,7 @@ def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
-    return (a, b), unsplit, factored
+    return (a, b), unsplit, chain
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +431,19 @@ def _disc_prime_to_6(a: int, b: int) -> int:
     return unit_part(3, unit_part(2, abs(d)))
 
 
-def _local_failure(a: int, b: int, rho_rounds: int, factored=None) -> str | None:
+def _local_failure(a: int, b: int, rho_rounds: int, chain=None) -> str | None:
     """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b).
 
     The gcd is factored as bounded_factor would factor it: trial division,
-    then the chain on the rest, unless factored (from _normalize) already
+    then the chain on the rest, unless chain (from _normalize) already
     holds the chain's result for that same rest.
     """
     g = gcd(a, b)
     if g > 1:
         gfac: dict = {}
         rest = _trial_divide(g, gfac)
-        if factored and rest in factored:
-            found, leftover = factored[rest]
+        if chain and chain[0] == rest:
+            found, leftover = chain[1]
         else:
             found, leftover = bounded_factor(rest, rho_rounds)
         gfac.update(found)
@@ -833,7 +834,7 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     """
     a_in, b_in = a, b
     warnings = []
-    (a, b), unsplit, factored_gcd = _normalize(a, b, rho_rounds)
+    (a, b), unsplit, gcd_chain = _normalize(a, b, rho_rounds)
     if (a, b) != (a_in, b_in):
         warnings.append(f"input normalized to (a, b) = ({a}, {b})")
     if unsplit != 1:
@@ -866,7 +867,7 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
                 "it are omitted from the report (their nu is 0 regardless)"
             )
     try:
-        failing = (_local_failure(a, b, rho_rounds, factored_gcd)
+        failing = (_local_failure(a, b, rho_rounds, gcd_chain)
                    or _square_failure(a, b, factored))
         maximal = failing is None
     except IndeterminateFactorization as exc:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, nextprime
 
-from nonicindex import nonic
+from nonicindex import gf, nonic
 from nonicindex.nonic import (
     _CERT_PRIMES,
     Certificate,
@@ -103,6 +103,21 @@ def test_irreducible_mod_p_verdict_matches_sympy(a, b):
     assert cert is Certificate.PROVEN
     assert _irreducible_mod(a, b, p), (a, b, p)
     assert not any(_irreducible_mod(a, b, q) for q in _CERT_PRIMES if q < p), (a, b, p)
+
+
+@pytest.mark.parametrize("a, b", [(805694, -684135), (-264088, 120095), (506678, 229717)])
+def test_certificate_shares_factorizations_with_nu2_nu3(a, b):
+    # b odd, 3 does not divide a, and disc(a, b) is prime to 6: the
+    # certificate reads its degree patterns at 2 and 3 from gf.factor, and
+    # nu2 and nu3 factor those same reductions, so they add no cache miss.
+    gf.factor.cache_clear()
+    nu2(a, b), nu3(a, b)
+    alone = gf.factor.cache_info().misses
+    gf.factor.cache_clear()
+    assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN
+    assert gf.factor.cache_info().misses == 2
+    nu2(a, b), nu3(a, b)
+    assert gf.factor.cache_info().misses == alone
 
 
 @settings(max_examples=200, deadline=None)
