@@ -1,7 +1,9 @@
 """The pinned classify corpus: every output must stay byte-identical.
 
 tests/data/classify_golden.jsonl.gz holds one JSON line per pair: the
-seven worked examples, then every pair in [-30, 30]^2 in order.  A pair
+seven worked examples, then every pair in [-30, 30]^2 in order, then 500
+seeded pairs with 30 < max(|a|, |b|) < 100, whose discriminants reach
+Brent's rho and ECM far more often than those of the box do.  A pair
 that classify accepts is written as its to_json() report; a pair it
 rejects (a reducible trinomial) is written with the error's class and
 message.
@@ -15,6 +17,7 @@ CHANGES.md) with
 import gzip
 import json
 import os
+import random
 
 from nonicindex.nonic import ClassifierError, classify
 
@@ -23,12 +26,21 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
 WORKED_EXAMPLES = ((51, 122), (1392, 768), (126, 40130), (15381, 6634),
                    (183, 296), (7335, 24184), (35, 20))
 BOX = 30
+OUTER = 100  # the seeded pairs lie in (-OUTER, OUTER)^2, outside the box
+OUTER_PAIRS = 500
 
 
 def corpus_pairs():
     yield from WORKED_EXAMPLES
     for a in range(-BOX, BOX + 1):
         for b in range(-BOX, BOX + 1):
+            yield a, b
+    rng = random.Random(10)
+    drawn = 0
+    while drawn < OUTER_PAIRS:
+        a, b = rng.randrange(1 - OUTER, OUTER), rng.randrange(1 - OUTER, OUTER)
+        if max(abs(a), abs(b)) > BOX:
+            drawn += 1
             yield a, b
 
 
