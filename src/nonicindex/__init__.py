@@ -16,7 +16,6 @@ from .nonic import (
     normalize,
     nu2,
     nu3,
-    nup_large,
 )
 from .polygon import (
     NotRegularError,
@@ -53,7 +52,6 @@ __all__ = [
     "nu2",
     "nu3",
     "nu_lookup",
-    "nup_large",
     "ore_analyze",
     "ore_split",
     "trinomial",

@@ -1,5 +1,5 @@
 """Exact integer utilities: primality, integer roots, perfect powers,
-p-adic valuations, unit parts and modular inverses.
+p-adic valuations, unit parts, modular inverses and a bounded factorer.
 
 All arithmetic is exact big-integer arithmetic; valuations of 0 are the
 float infinity sentinel so that zero polygon coefficients sort above every
@@ -210,3 +210,174 @@ def inv_mod_pk(p: int, x: int, k: int) -> int:
     if x % p == 0:
         raise ValueError(f"{x} is divisible by {p}, not invertible mod {p}^{k}")
     return pow(x, -1, p**k)
+
+
+# ---------------------------------------------------------------------------
+# bounded integer factoring
+
+# The chain's effort is counted in units.  A rho step (a modular squaring
+# and a product) on an operand of b bits costs 1 + (b // 256)^2 units, since
+# schoolbook products grow with the square of the length.  Counting units,
+# not seconds, gives an input the same answer on every machine.
+TRIAL_LIMIT = 30_000  # trial division by every prime up to this
+_TRIAL_BLOCK = 64  # primes per block product
+_RHO_ROUNDS = 16  # rho walks per composite, each from its own start
+_RHO_BATCH = 128  # rho steps per gcd
+_RHO_UNITS = 1 << 17  # rho effort per composite, over all its rounds
+_ECM_B1, _ECM_B2 = 2_000, 200_000  # stage bounds, suited to factors of ~15 digits
+_ECM_CURVES = 16  # curves per ECM call
+_ECM_CURVE_UNITS = 1 << 16  # one curve at these bounds costs about this many rho steps
+_FACTOR_BUDGET = 1 << 22  # all effort of one bounded_factor call
+_FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
+_FACTOR_CEILING = 10**_FACTOR_DIGITS
+
+
+def primes_upto(limit: int) -> tuple:
+    """Every prime up to limit, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return ()
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return tuple(i for i in range(2, limit + 1) if sieve[i])
+
+
+def _blocks(primes: tuple) -> tuple:
+    return tuple(
+        (math.prod(primes[i : i + _TRIAL_BLOCK]), primes[i : i + _TRIAL_BLOCK])
+        for i in range(0, len(primes), _TRIAL_BLOCK)
+    )
+
+
+# (product, primes) blocks over every prime up to TRIAL_LIMIT
+_TRIAL_BLOCKS = _blocks(primes_upto(TRIAL_LIMIT))
+
+
+def trial_divide(n: int, factors: dict) -> int:
+    """Divide the primes up to TRIAL_LIMIT out of n into factors; return
+    the rest.  One gcd per block; only a block sharing a prime is scanned."""
+    for block, primes in _TRIAL_BLOCKS:
+        if primes[0] * primes[0] > n:
+            break  # n is 1 or a prime
+        shared = math.gcd(block, n % block)
+        if shared == 1:
+            continue
+        for p in primes:
+            if shared % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
+    return n
+
+
+def _brent(n: int, c: int, y: int, cap: int) -> tuple:
+    """Brent's rho walk y -> y^2 + c mod n, at most cap steps before the
+    final backtrack, with one gcd per _RHO_BATCH steps (Brent, BIT 1980).
+
+    Returns (d, steps): d is a divisor 1 < d < n, or None when the walk hit
+    its cap or closed its cycle on n itself.
+    """
+    g = q = r = 1
+    steps = 0
+    while g == 1:
+        if steps + r > cap:
+            return None, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            batch = min(_RHO_BATCH, r - k, cap - steps)
+            if batch <= 0:
+                return None, steps
+            ys = y
+            for _ in range(batch):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            steps += batch
+            k += batch
+        r *= 2
+    if g == n:
+        # the batch's product hit both factors; redo it one gcd per step
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+            steps += 1
+    return (g if g < n else None), steps
+
+
+def bounded_factor(n: int) -> tuple:
+    """Factor |n| by a bounded, seeded chain.
+
+    Trial division by the primes up to TRIAL_LIMIT, then for each
+    remaining composite: _RHO_ROUNDS rounds of Brent's rho, round r walking
+    from y = 2 + r with c = 1 + r, for at most _RHO_UNITS in all; then ECM
+    calls of up to _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1,
+    2, ..., each call as many curves as the budget still affords.  Every
+    step is charged to one budget of _FACTOR_BUDGET units per call; a part
+    the budget cannot afford, or with more than _FACTOR_DIGITS digits, is
+    left unfactored.  The same n always gets the same answer.
+
+    Returns (factors, leftover): factors maps primes to exponents, in
+    increasing order, and leftover is 1 on success, else the product of
+    the parts that were left unfactored.
+    """
+    n = abs(n)
+    if n <= 1:
+        return {}, 1
+    factors: dict = {}
+    n = trial_divide(n, factors)
+    if n == 1:
+        return factors, 1
+    budget = _FACTOR_BUDGET
+    stack = [n]
+    leftover = 1
+    while stack:
+        m = stack.pop()
+        if m > _FACTOR_CEILING:
+            leftover *= m
+            continue
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        power = perfect_power(m)
+        if power:
+            base, exp = power
+            for _ in range(exp):
+                stack.append(base)
+            continue
+        weight = 1 + (m.bit_length() >> 8) ** 2
+        d = None
+        allowance = min(_RHO_UNITS, budget) // weight
+        for r in range(_RHO_ROUNDS):
+            if allowance <= 0:
+                break
+            d, steps = _brent(m, 1 + r, 2 + r, allowance)
+            allowance -= steps
+            budget -= steps * weight
+            if d is not None:
+                break
+        seed = 1
+        while d is None:
+            curves = min(_ECM_CURVES, budget // (_ECM_CURVE_UNITS * weight))
+            if not curves:
+                break
+            budget -= curves * _ECM_CURVE_UNITS * weight
+            from sympy.ntheory import ecm  # imported on first use: few inputs get here
+
+            try:
+                # a set of distinct primes of m: take one, split m by it
+                d = min(ecm(m, _ECM_B1, _ECM_B2, curves, seed))
+            except ValueError:
+                seed += 1
+        if d is None:
+            leftover *= m
+        else:
+            stack.append(d)
+            stack.append(m // d)
+    return dict(sorted(factors.items())), leftover

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import gf
-from .arith import val
+from .arith import is_prime, val
 from .nonic import (
     ReduciblePolynomial,
     Unclassified,
@@ -21,7 +21,7 @@ from .nonic import (
     disc,
 )
 from .polygon import ExactDivisorError, analyze_phi, trinomial, ztrim
-from .verify import CSV_HEADER, check_sweep_options, run_suite
+from .verify import CSV_HEADER, DEFAULT_SEED, check_sweep_options, run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -45,6 +45,8 @@ def _envelope(command: str, inputs: dict, result, warnings) -> str:
 
 
 def _cmd_classify(args) -> int:
+    if args.prime is not None and not is_prime(args.prime):
+        args.usage_error(f"--prime must be a prime, not {args.prime}")  # exits 2
     inputs = {"a": args.a, "b": args.b, "prime": args.prime}
     try:
         report = classify(args.a, args.b)
@@ -176,10 +178,10 @@ def _cmd_verify(args) -> int:
         "prime": args.prime,
         "modulus": args.modulus,
         "lifts": args.lifts,
-        "seed": args.seed,
+        "seed": DEFAULT_SEED if args.seed is None else args.seed,
     }
     try:
-        check_sweep_options(args.suite, args.prime, args.modulus, args.lifts)
+        check_sweep_options(args.suite, args.prime, args.modulus, args.lifts, args.seed)
     except ValueError as exc:
         args.usage_error(str(exc))  # exits 2
     report = run_suite(
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--b", type=int, required=True)
     p_classify.add_argument("--prime", type=int, default=None)
     p_classify.add_argument("--json", action="store_true")
-    p_classify.set_defaults(func=_cmd_classify)
+    p_classify.set_defaults(func=_cmd_classify, usage_error=p_classify.error)
 
     p_polygon = sub.add_parser("polygon", help="dump one phi-polygon with residuals")
     p_polygon.add_argument("--a", type=int, required=True)
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--prime", type=int, default=None)
     p_verify.add_argument("--modulus", type=int, default=None)
     p_verify.add_argument("--lifts", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=1)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--csv", default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify, usage_error=p_verify.error)

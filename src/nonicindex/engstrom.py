@@ -17,10 +17,10 @@ from .polygon import Splitting
 
 @dataclass(frozen=True)
 class IndexValuation:
-    """Exact(n), AtLeast(n) or Unknown - the answer for nu_p(i(K))."""
+    """Exact(n) or AtLeast(n) - the answer for nu_p(i(K))."""
 
-    kind: str  # "exact" | "at_least" | "unknown"
-    value: int | None = None
+    kind: str  # "exact" | "at_least"
+    value: int
 
     @staticmethod
     def exact(n: int) -> "IndexValuation":
@@ -32,10 +32,6 @@ class IndexValuation:
             raise ValueError("AtLeast bound must be >= 1")
         return IndexValuation("at_least", n)
 
-    @staticmethod
-    def unknown() -> "IndexValuation":
-        return IndexValuation("unknown", None)
-
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
@@ -43,16 +39,10 @@ class IndexValuation:
     @property
     def divides(self) -> bool:
         """True when the prime certainly divides i(K)."""
-        if self.kind == "unknown":
-            raise ValueError("unknown valuation has no divisibility verdict")
-        return self.value is not None and self.value >= 1
+        return self.value >= 1
 
     def __str__(self):
-        if self.kind == "exact":
-            return str(self.value)
-        if self.kind == "at_least":
-            return f">={self.value}"
-        return "?"
+        return str(self.value) if self.kind == "exact" else f">={self.value}"
 
 
 def _key(split: Splitting) -> tuple:

@@ -15,10 +15,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 from . import gf
-from .arith import INFINITY, inv_mod_pk, is_prime, perfect_power, unit_part, val
+from .arith import (
+    INFINITY,
+    TRIAL_LIMIT,
+    bounded_factor,
+    inv_mod_pk,
+    primes_upto,
+    trial_divide,
+    unit_part,
+    val,
+)
 from .arith import iroot as _iroot
 from .engstrom import IndexValuation, nu_lookup
 from .polygon import (
@@ -65,17 +74,6 @@ def delta_unit(a: int, b: int, p: int) -> int:
     return unit_part(p, d)
 
 
-def _sieve_upto(limit: int) -> tuple:
-    if limit < 2:
-        return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, _iroot(limit, 2) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
-
-
 def is_normalized(a: int, b: int) -> bool:
     """True when no prime has nu_p(a) >= 8 and nu_p(b) >= 9 simultaneously.
 
@@ -98,8 +96,8 @@ def normalize(a: int, b: int) -> tuple:
     The result defines the same field.  A prime that can be stripped has
     p^8 | gcd(a, b), so only the primes of the gcd are visited, and a
     coprime pair returns at once.  Trial division finds every prime up to
-    _TRIAL_LIMIT.  A larger prime can divide the gcd eight times only when
-    the part that trial division leaves is at least _TRIAL_LIMIT^8, and
+    TRIAL_LIMIT.  A larger prime can divide the gcd eight times only when
+    the part that trial division leaves is at least TRIAL_LIMIT^8, and
     only then does that part go to bounded_factor.  A prime that its budget
     cannot split out (one of more than about 15 digits) is not stripped;
     is_normalized raises and classify warns when that may have happened.
@@ -107,10 +105,10 @@ def normalize(a: int, b: int) -> tuple:
     return _normalize(a, b)[0]
 
 
-def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
+def _normalize(a: int, b: int) -> tuple:
     """((a, b) normalized, unsplit, chain).  unsplit is 1, or the part of
     the gcd that bounded_factor left unfactored when it is at least
-    _TRIAL_LIMIT^8.  chain is None, or (rest, bounded_factor(rest)) for the
+    TRIAL_LIMIT^8.  chain is None, or (rest, bounded_factor(rest)) for the
     part of the gcd past trial division, for _local_failure to reuse.
 
     Every prime found is tested, whatever its count, so a prime that was
@@ -121,186 +119,20 @@ def _normalize(a: int, b: int, rho_rounds: int = 16) -> tuple:
     if g < 2**8:
         return (a, b), 1, None
     factors: dict = {}
-    rest = _trial_divide(g, factors)
+    rest = trial_divide(g, factors)
     unsplit = 1
     chain = None
-    if rest >= _TRIAL_LIMIT**8:
-        chain = (rest, bounded_factor(rest, rho_rounds))
+    if rest >= TRIAL_LIMIT**8:
+        chain = (rest, bounded_factor(rest))
         found, leftover = chain[1]
         factors.update(found)
-        if leftover >= _TRIAL_LIMIT**8:
+        if leftover >= TRIAL_LIMIT**8:
             unsplit = leftover
     for p in factors:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
     return (a, b), unsplit, chain
-
-
-# ---------------------------------------------------------------------------
-# bounded integer factoring (plumbing for the maximality conditions)
-
-# The chain's effort is counted in units.  A rho step (a modular squaring
-# and a product) on an operand of b bits costs 1 + (b // 256)^2 units, since
-# schoolbook products grow with the square of the length.  Counting units,
-# not seconds, gives an input the same answer on every machine.
-_TRIAL_LIMIT = 30_000  # trial division by every prime up to this
-_TRIAL_BLOCK = 64  # primes per block product
-_RHO_BATCH = 128  # rho steps per gcd
-_RHO_UNITS = 1 << 17  # rho effort per composite, over all its rounds
-_ECM_B1, _ECM_B2 = 2_000, 200_000  # stage bounds, suited to factors of ~15 digits
-_ECM_CURVES = 16  # curves per ECM call
-_ECM_CURVE_UNITS = 1 << 16  # one curve at these bounds costs about this many rho steps
-_FACTOR_BUDGET = 1 << 22  # all effort of one bounded_factor call
-_FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
-_FACTOR_CEILING = 10**_FACTOR_DIGITS
-
-
-# The sieve behind trial division, every prime up to _TRIAL_LIMIT, and its
-# (product, primes) blocks.  An empty _TRIAL_PRIMES means "sieve again" (a
-# caller may clear it), never "no primes".
-_TRIAL_PRIMES: tuple = ()
-_TRIAL_BLOCKS: tuple = ()
-
-
-def _trial_blocks() -> tuple:
-    """(product, primes) blocks over the primes up to _TRIAL_LIMIT."""
-    global _TRIAL_PRIMES, _TRIAL_BLOCKS
-    if not _TRIAL_PRIMES:
-        primes = _TRIAL_PRIMES = _sieve_upto(_TRIAL_LIMIT)
-        _TRIAL_BLOCKS = tuple(
-            (prod(primes[i : i + _TRIAL_BLOCK]), primes[i : i + _TRIAL_BLOCK])
-            for i in range(0, len(primes), _TRIAL_BLOCK)
-        )
-    return _TRIAL_BLOCKS
-
-
-def _trial_divide(n: int, factors: dict) -> int:
-    """Divide the primes up to _TRIAL_LIMIT out of n into factors; return
-    the rest.  One gcd per block; only a block sharing a prime is scanned."""
-    for block, primes in _trial_blocks():
-        if primes[0] * primes[0] > n:
-            break  # n is 1 or a prime
-        shared = gcd(block, n % block)
-        if shared == 1:
-            continue
-        for p in primes:
-            if shared % p == 0:
-                while n % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    n //= p
-    return n
-
-
-def _brent(n: int, c: int, y: int, cap: int) -> tuple:
-    """Brent's rho walk y -> y^2 + c mod n, at most cap steps before the
-    final backtrack, with one gcd per _RHO_BATCH steps (Brent, BIT 1980).
-
-    Returns (d, steps): d is a divisor 1 < d < n, or None when the walk hit
-    its cap or closed its cycle on n itself.
-    """
-    g = q = r = 1
-    steps = 0
-    while g == 1:
-        if steps + r > cap:
-            return None, steps
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        steps += r
-        k = 0
-        while k < r and g == 1:
-            batch = min(_RHO_BATCH, r - k, cap - steps)
-            if batch <= 0:
-                return None, steps
-            ys = y
-            for _ in range(batch):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = gcd(q, n)
-            steps += batch
-            k += batch
-        r *= 2
-    if g == n:
-        # the batch's product hit both factors; redo it one gcd per step
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(x - ys, n)
-            steps += 1
-    return (g if g < n else None), steps
-
-
-def bounded_factor(n: int, rho_rounds: int = 16) -> tuple:
-    """Factor |n| by a bounded, seeded chain.
-
-    Trial division by the primes up to _TRIAL_LIMIT, then for each
-    remaining composite: Brent's rho, round r walking from y = 2 + r with
-    c = 1 + r, for at most _RHO_UNITS in all; then ECM calls of up to
-    _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1, 2, ..., each
-    call as many curves as the budget still affords.  Every step is
-    charged to one budget of _FACTOR_BUDGET units per call; a part the
-    budget cannot afford, or with more than _FACTOR_DIGITS digits, is
-    left unfactored.  The same n always gets the same answer.
-
-    Returns (factors, leftover): factors maps primes to exponents, in
-    increasing order, and leftover is 1 on success, else the product of
-    the parts that were left unfactored.
-    """
-    n = abs(n)
-    if n <= 1:
-        return {}, 1
-    factors: dict = {}
-    n = _trial_divide(n, factors)
-    if n == 1:
-        return factors, 1
-    budget = _FACTOR_BUDGET
-    stack = [n]
-    leftover = 1
-    while stack:
-        m = stack.pop()
-        if m > _FACTOR_CEILING:
-            leftover *= m
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        power = perfect_power(m)
-        if power:
-            base, exp = power
-            for _ in range(exp):
-                stack.append(base)
-            continue
-        weight = 1 + (m.bit_length() >> 8) ** 2
-        d = None
-        allowance = min(_RHO_UNITS, budget) // weight
-        for r in range(rho_rounds):
-            if allowance <= 0:
-                break
-            d, steps = _brent(m, 1 + r, 2 + r, allowance)
-            allowance -= steps
-            budget -= steps * weight
-            if d is not None:
-                break
-        seed = 1
-        while d is None:
-            curves = min(_ECM_CURVES, budget // (_ECM_CURVE_UNITS * weight))
-            if not curves:
-                break
-            budget -= curves * _ECM_CURVE_UNITS * weight
-            from sympy.ntheory import ecm  # imported on first use: few inputs get here
-
-            try:
-                # a set of distinct primes of m: take one, split m by it
-                d = min(ecm(m, _ECM_B1, _ECM_B2, curves, seed))
-            except ValueError:
-                seed += 1
-        if d is None:
-            leftover *= m
-        else:
-            stack.append(d)
-            stack.append(m // d)
-    return dict(sorted(factors.items())), leftover
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +145,7 @@ class Certificate(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_CERT_PRIMES = _sieve_upto(100)
+_CERT_PRIMES = primes_upto(100)
 
 
 def _smallest_integer_root(a: int, b: int) -> int | None:
@@ -411,15 +243,15 @@ _MOD9_MAXIMAL = {
 _MOD4_MAXIMAL = {(1, 0), (3, 2)}
 
 
-def is_order_maximal(a: int, b: int, rho_rounds: int = 16) -> tuple:
+def is_order_maximal(a: int, b: int) -> tuple:
     """Is Z[alpha] integrally closed?  Returns (flag, failing condition).
 
     Needs the odd primes >= 5 dividing the discriminant; raises
     IndeterminateFactorization when the bounded factoring pass cannot
     certify squarefreeness of the relevant part.
     """
-    failing = _local_failure(a, b, rho_rounds) or _square_failure(
-        a, b, bounded_factor(_disc_prime_to_6(a, b), rho_rounds)
+    failing = _local_failure(a, b) or _square_failure(
+        a, b, bounded_factor(_disc_prime_to_6(a, b))
     )
     return failing is None, failing
 
@@ -431,7 +263,7 @@ def _disc_prime_to_6(a: int, b: int) -> int:
     return unit_part(3, unit_part(2, abs(d)))
 
 
-def _local_failure(a: int, b: int, rho_rounds: int, chain=None) -> str | None:
+def _local_failure(a: int, b: int, chain=None) -> str | None:
     """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b).
 
     The gcd is factored as bounded_factor would factor it: trial division,
@@ -441,11 +273,11 @@ def _local_failure(a: int, b: int, rho_rounds: int, chain=None) -> str | None:
     g = gcd(a, b)
     if g > 1:
         gfac: dict = {}
-        rest = _trial_divide(g, gfac)
+        rest = trial_divide(g, gfac)
         if chain and chain[0] == rest:
             found, leftover = chain[1]
         else:
-            found, leftover = bounded_factor(rest, rho_rounds)
+            found, leftover = bounded_factor(rest)
         gfac.update(found)
         if leftover != 1:
             raise IndeterminateFactorization(
@@ -588,9 +420,9 @@ def critical_shift(a: int, b: int, p: int, precision: int) -> int:
     return (num // p**g) * inv_mod_pk(p, (8 * a) // p**g, precision) % pk
 
 
-def engine_split(a: int, b: int, p: int, refine: bool = True):
+def engine_split(a: int, b: int, p: int):
     """Ore engine result for x^9 + ax + b at p, with shift refinement."""
-    return ore_analyze(trinomial(a, b), p, refine=refine)
+    return ore_analyze(trinomial(a, b), p)
 
 
 def nu2(a: int, b: int) -> PrimeEntry:
@@ -754,13 +586,6 @@ def _fmt_w(w) -> str:
     return "inf" if w == INFINITY else str(int(w))
 
 
-def nup_large(a: int, b: int, p: int) -> IndexValuation:
-    """nu_p(i(K)) for p >= 5: always exactly 0."""
-    if p < 5:
-        raise ValueError("use nu2/nu3 for p in {2, 3}")
-    return IndexValuation.exact(0)
-
-
 # ---------------------------------------------------------------------------
 # the assembled report
 
@@ -820,7 +645,7 @@ class ClassifierReport:
         }
 
 
-def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) -> ClassifierReport:
+def classify(a: int, b: int) -> ClassifierReport:
     """Full index report for x^9 + ax + b.
 
     Normalizes the input, certifies irreducibility (an Unknown certificate
@@ -834,7 +659,7 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
     """
     a_in, b_in = a, b
     warnings = []
-    (a, b), unsplit, gcd_chain = _normalize(a, b, rho_rounds)
+    (a, b), unsplit, gcd_chain = _normalize(a, b)
     if (a, b) != (a_in, b_in):
         warnings.append(f"input normalized to (a, b) = ({a}, {b})")
     if unsplit != 1:
@@ -850,24 +675,23 @@ def classify(a: int, b: int, rho_rounds: int = 16, large_primes: bool = True) ->
         raise ReduciblePolynomial(str(exc)) from None
     for e in entries.values():
         warnings.extend(e.warnings)
-    factored = bounded_factor(_disc_prime_to_6(a, b), rho_rounds)
-    if large_primes:
-        dfac, leftover = factored
-        for p in sorted(dfac):
-            try:
-                split = engine_split(a, b, p).splitting if p <= 7 else None
-            except NotRegularError:  # pragma: no cover - not expected for p >= 5
-                split = None
-            except ExactDivisorError as exc:
-                raise ReduciblePolynomial(str(exc)) from None
-            entries[p] = PrimeEntry(p, nup_large(a, b, p), split, f"{p}:ge5")
-        if leftover != 1:
-            warnings.append(
-                f"disc has an unfactored part ({leftover}); primes >= 5 dividing "
-                "it are omitted from the report (their nu is 0 regardless)"
-            )
+    factored = bounded_factor(_disc_prime_to_6(a, b))
+    dfac, leftover = factored
+    for p in sorted(dfac):
+        try:
+            split = engine_split(a, b, p).splitting if p <= 7 else None
+        except NotRegularError:  # pragma: no cover - not expected for p >= 5
+            split = None
+        except ExactDivisorError as exc:
+            raise ReduciblePolynomial(str(exc)) from None
+        entries[p] = PrimeEntry(p, IndexValuation.exact(0), split, f"{p}:ge5")
+    if leftover != 1:
+        warnings.append(
+            f"disc has an unfactored part ({leftover}); primes >= 5 dividing "
+            "it are omitted from the report (their nu is 0 regardless)"
+        )
     try:
-        failing = (_local_failure(a, b, rho_rounds, gcd_chain)
+        failing = (_local_failure(a, b, gcd_chain)
                    or _square_failure(a, b, factored))
         maximal = failing is None
     except IndeterminateFactorization as exc:

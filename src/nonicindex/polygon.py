@@ -189,12 +189,6 @@ def principal_polygon(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices), sides=tuple(sides))
 
 
-def ore_index(polygon: "NewtonPolygon", phi_degree: int) -> int:
-    """deg(phi) times the on-or-below lattice count: one lift's share of
-    the index valuation (exact when the polynomial is p-regular)."""
-    return phi_degree * lattice_index(polygon)
-
-
 def lattice_index(polygon: NewtonPolygon) -> int:
     """Lattice points (i, j) with i >= 1, j >= 1 on or below the polygon."""
     total = 0
@@ -346,7 +340,10 @@ def _lift_element(field, elem) -> tuple:
     return ztrim(tuple(elem))
 
 
-def analyze_phi_refined(F, p: int, phi, max_steps: int = 256) -> PhiAnalysis:
+_REFINE_STEPS = 256  # a defensive cap on the refinement steps of one lift
+
+
+def analyze_phi_refined(F, p: int, phi) -> PhiAnalysis:
     """analyze_phi, nudging phi while a repeated linear root allows it.
 
     Each accepted step replaces phi by phi -+ p^h * root and strictly
@@ -355,7 +352,7 @@ def analyze_phi_refined(F, p: int, phi, max_steps: int = 256) -> PhiAnalysis:
     analysis if no step applies.
     """
     analysis = analyze_phi(F, p, phi)
-    for _ in range(max_steps):
+    for _ in range(_REFINE_STEPS):
         if analysis.regular:
             return analysis
         step = _refinement_step(analysis)

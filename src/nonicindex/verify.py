@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
 
 from .arith import inv_mod_pk, val
 from .engstrom import divides_index
 from .gf import count_monic_irreducible
 from .nonic import (
-    Certificate,
     classify,
-    disc,
     engine_split,
-    irreducibility_certificate,
+    irreducibility_certificate,  # not called here; perfbench/spans.py traces this name
     is_normalized,
     nu2,
     nu3,
@@ -182,6 +179,7 @@ def certified_lift(a0: int, b0: int, modulus: int, rng: random.Random, span: int
 
 # the primes each residue-class sweep runs at
 SUITE_PRIMES = {"dedekind": (2, 3), "agreement": (2, 3, 5, 7)}
+DEFAULT_SEED = 1  # the lift seed of a residue-class sweep given no --seed
 
 
 def order_max_predicted(a: int, b: int, p: int) -> bool:
@@ -386,14 +384,15 @@ def check_tables() -> SweepReport:
     return report
 
 
-def check_sweep_options(name: str, prime=None, modulus=None, lifts=None) -> None:
+def check_sweep_options(name: str, prime=None, modulus=None, lifts=None, seed=None) -> None:
     """Raise ValueError for options of a residue-class sweep that would
     crash it or make it check nothing; None stands for the default.  The
     examples and tables suites take none of these options, so they reject
     any value rather than ignore it."""
     if name in ("examples", "tables"):
         given = [f"--{opt}" for opt, value in
-                 (("prime", prime), ("modulus", modulus), ("lifts", lifts)) if value is not None]
+                 (("prime", prime), ("modulus", modulus), ("lifts", lifts), ("seed", seed))
+                 if value is not None]
         if given:
             raise ValueError(f"the {name} suite takes no {', '.join(given)}")
         return
@@ -407,8 +406,10 @@ def check_sweep_options(name: str, prime=None, modulus=None, lifts=None) -> None
         raise ValueError(f"lifts must be positive, not {lifts}")
 
 
-def run_suite(name: str, prime=None, modulus=None, lifts=None, seed=1) -> SweepReport:
-    check_sweep_options(name, prime, modulus, lifts)
+def run_suite(name: str, prime=None, modulus=None, lifts=None, seed=None) -> SweepReport:
+    check_sweep_options(name, prime, modulus, lifts, seed)
+    if seed is None:
+        seed = DEFAULT_SEED
     if name == "examples":
         return check_examples()
     if name == "tables":

@@ -94,6 +94,17 @@ def test_verify_examples_suite(capsys):
     env = json.loads(out)
     assert env["result"]["ok"] is True
     assert env["result"]["total"] == 7
+    assert env["input"]["seed"] == 1  # the default, although the suite draws nothing
+
+
+def test_verify_seed_defaults_to_1(capsys):
+    argv = ("verify", "--suite", "dedekind", "--prime", "2", "--modulus", "4", "--lifts", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith(" seed=1")
+    assert run(capsys, *argv, "--seed", "1")[1] == out
+    env = json.loads(run(capsys, *argv, "--json")[1])
+    assert env["input"]["seed"] == env["result"]["seed"] == 1
 
 
 def test_verify_csv(tmp_path, capsys):

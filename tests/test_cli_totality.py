@@ -2,7 +2,8 @@
 given to classify or to polygon, and every --prime, --modulus and --lifts
 given to verify, ends with exit code 0, 1, 2 or 3 and never prints a
 traceback.  verify rejects options that would check nothing, or that its
-suite would ignore, with a usage message and exit code 2."""
+suite would ignore, and classify rejects a --prime that is not prime, with a
+usage message and exit code 2."""
 
 import contextlib
 import io
@@ -97,8 +98,18 @@ def test_verify_cli_is_total(suite, prime, modulus, lifts):
     "--suite examples --prime 2",
     "--suite tables --modulus 16",
     "--suite tables --prime 3 --lifts 1",
+    "--suite examples --seed 5",
+    "--suite tables --seed -3",
 ])
 def test_verify_rejects_options_that_check_nothing(options):
     code, text = _run(["verify"] + options.split())
+    assert code == 2, text
+    assert text.startswith("usage:") and "Traceback" not in text
+
+
+@pytest.mark.parametrize("prime", ["6", "9", "1", "0", "-7", str(2**89 + 1)])
+def test_classify_rejects_a_prime_that_is_not_prime(prime):
+    # (7335, 24184) has i(K) = 24, so 6 divides it: a "6:ge5" row would be wrong
+    code, text = _run(["classify", "--a", "7335", "--b", "24184", "--prime", prime, "--json"])
     assert code == 2, text
     assert text.startswith("usage:") and "Traceback" not in text

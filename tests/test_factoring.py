@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime
 
-from nonicindex import nonic
-from nonicindex.nonic import _disc_prime_to_6, bounded_factor, classify
+from nonicindex import arith
+from nonicindex.arith import bounded_factor
+from nonicindex.nonic import _disc_prime_to_6, classify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HUGE = (10**399 + 7, 10**400 + 1)  # a discriminant of 3,599 digits
@@ -24,7 +25,7 @@ def _record_effort(monkeypatch):
     """Count the rho steps, ECM calls and curves and primality-test arguments
     of the chain."""
     effort = {"rho_steps": 0, "ecm_calls": 0, "ecm_curves": 0, "isprime_digits": []}
-    walk, ecm, prime = nonic._brent, sympy.ntheory.ecm, nonic.is_prime
+    walk, ecm, prime = arith._brent, sympy.ntheory.ecm, arith.is_prime
 
     def counted_walk(n, c, y, cap):
         d, steps = walk(n, c, y, cap)
@@ -40,9 +41,9 @@ def _record_effort(monkeypatch):
         effort["isprime_digits"].append(len(str(n)))
         return prime(n)
 
-    monkeypatch.setattr(nonic, "_brent", counted_walk)
+    monkeypatch.setattr(arith, "_brent", counted_walk)
     monkeypatch.setattr(sympy.ntheory, "ecm", counted_ecm)
-    monkeypatch.setattr(nonic, "is_prime", counted_isprime)
+    monkeypatch.setattr(arith, "is_prime", counted_isprime)
     return effort
 
 
@@ -57,19 +58,16 @@ def test_effort_recorder_sees_the_chain(monkeypatch):
 
 def test_exhausted_budget_leaves_the_composite(monkeypatch):
     effort = _record_effort(monkeypatch)
-    monkeypatch.setattr(nonic, "_FACTOR_BUDGET", 64)
+    monkeypatch.setattr(arith, "_FACTOR_BUDGET", 64)
     n = 1000003 * 1000033  # rho needs about a thousand steps for it
     assert bounded_factor(n) == ({}, n)
     assert 0 < effort["rho_steps"] <= 64 and effort["ecm_calls"] == 0
 
 
-def test_trial_division_survives_a_cleared_sieve(monkeypatch):
+def test_trial_division_reaches_the_largest_sieved_prime():
+    # 29989 is the largest prime up to TRIAL_LIMIT
     n = 2**5 * 29989 * 29983**2 * 1000003
-    want = ({2: 5, 29983: 2, 29989: 1, 1000003: 1}, 1)
-    assert bounded_factor(n) == want
-    monkeypatch.setattr(nonic, "_TRIAL_PRIMES", ())  # "sieve again", not "no primes"
-    assert bounded_factor(n) == want
-    assert nonic._TRIAL_PRIMES[-1] == 29989
+    assert bounded_factor(n) == ({2: 5, 29983: 2, 29989: 1, 1000003: 1}, 1)
 
 
 @pytest.mark.parametrize("a, b", [(707, 549), (203, 993)])
@@ -89,12 +87,12 @@ def test_ecm_runs_within_the_budget_on_a_large_cofactor(monkeypatch):
     q, r = nextprime(10**20), nextprime(10**18)
     n = q**8 * r
     weight = 1 + (n.bit_length() >> 8) ** 2
-    assert nonic._ECM_CURVES * nonic._ECM_CURVE_UNITS * weight > nonic._FACTOR_BUDGET
+    assert arith._ECM_CURVES * arith._ECM_CURVE_UNITS * weight > arith._FACTOR_BUDGET
     factors, leftover = bounded_factor(n)
     assert prod(p**e for p, e in factors.items()) * leftover == n
     assert effort["ecm_calls"] >= 1
-    spent = (effort["rho_steps"] + effort["ecm_curves"] * nonic._ECM_CURVE_UNITS) * weight
-    assert spent <= nonic._FACTOR_BUDGET
+    spent = (effort["rho_steps"] + effort["ecm_curves"] * arith._ECM_CURVE_UNITS) * weight
+    assert spent <= arith._FACTOR_BUDGET
 
 
 def test_classify_is_total_above_the_digit_ceiling(monkeypatch):
@@ -105,7 +103,7 @@ def test_classify_is_total_above_the_digit_ceiling(monkeypatch):
     # the cofactor goes straight to leftover: no rho step, ECM curve or
     # primality test is spent on it
     assert effort["rho_steps"] == 0 and effort["ecm_calls"] == 0
-    assert all(d <= nonic._FACTOR_DIGITS for d in effort["isprime_digits"])
+    assert all(d <= arith._FACTOR_DIGITS for d in effort["isprime_digits"])
 
 
 def test_cli_is_total_above_the_digit_ceiling():
@@ -136,4 +134,4 @@ def test_bounded_factor_is_exact(primes, data):
     assert all(isprime(p) for p in factors)
     if leftover != 1:
         assert not isprime(leftover)
-        assert gcd(leftover, prod(block for block, _ in nonic._trial_blocks())) == 1
+        assert gcd(leftover, prod(block for block, _ in arith._TRIAL_BLOCKS)) == 1

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from nonicindex import nonic
-from nonicindex.arith import val
+from nonicindex import arith
+from nonicindex.arith import bounded_factor, val
 from nonicindex.engstrom import IndexValuation
 from nonicindex.nonic import (
     Certificate,
     IndeterminateFactorization,
     ReduciblePolynomial,
-    bounded_factor,
     classify,
     critical_shift,
     delta_unit,
@@ -21,7 +20,6 @@ from nonicindex.nonic import (
     normalize,
     nu2,
     nu3,
-    nup_large,
 )
 from nonicindex.polygon import NotRegularError, Splitting, dedekind_divides, trinomial
 
@@ -70,9 +68,9 @@ def test_rho_rounds_start_distinct_walks(monkeypatch):
         starts.append((c, y))
         return None, 1
 
-    monkeypatch.setattr(nonic, "_brent", failing_walk)
+    monkeypatch.setattr(arith, "_brent", failing_walk)
     # a budget too small for one ECM call: the rho rounds are all there is
-    monkeypatch.setattr(nonic, "_FACTOR_BUDGET", nonic._ECM_CURVE_UNITS - 1)
+    monkeypatch.setattr(arith, "_FACTOR_BUDGET", arith._ECM_CURVE_UNITS - 1)
     n = 1000003 * 1000033  # two primes beyond the trial-division limit
     assert bounded_factor(n) == ({}, n)
     assert len(starts) == 16 and len(set(starts)) == 16
@@ -125,14 +123,6 @@ def test_nu3_examples():
     assert nu3(126, 40130).nu == IndexValuation.exact(1)
     assert nu3(1392, 768).nu == IndexValuation.exact(0)  # 3-Eisenstein
     assert nu3(183, 296).nu == IndexValuation.exact(0)
-
-
-def test_nup_large():
-    assert nup_large(1, 1, 5) == IndexValuation.exact(0)
-    assert nup_large(7335, 24184, 7) == IndexValuation.exact(0)
-    assert nup_large(5, 5, 5) == IndexValuation.exact(0)
-    with pytest.raises(ValueError):
-        nup_large(1, 1, 3)
 
 
 def test_classify_known_fields():

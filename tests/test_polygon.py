@@ -187,14 +187,10 @@ def test_residual_degree_and_endpoints():
 
 
 def test_lattice_index_examples():
-    from nonicindex.polygon import ore_index
-
     # two-point polygon (0, v) -> (2, 0): floor(v/2)
     for v in range(1, 12):
         poly = principal_polygon([(0, v), (2, 0)])
         assert lattice_index(poly) == v // 2
-        assert ore_index(poly, 1) == v // 2
-        assert ore_index(poly, 2) == 2 * (v // 2)
     # Eisenstein polygon: no interior lattice points
     poly = principal_polygon([(0, 1), (9, 0)])
     assert lattice_index(poly) == 0
