@@ -244,15 +244,14 @@ def primes_upto(limit: int) -> tuple:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
-def _blocks(primes: tuple) -> tuple:
-    return tuple(
-        (math.prod(primes[i : i + _TRIAL_BLOCK]), primes[i : i + _TRIAL_BLOCK])
-        for i in range(0, len(primes), _TRIAL_BLOCK)
-    )
+def _trial_blocks() -> tuple:
+    """(product, primes) blocks over every prime up to TRIAL_LIMIT."""
+    primes = primes_upto(TRIAL_LIMIT)
+    blocks = (primes[i : i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK))
+    return tuple((math.prod(block), block) for block in blocks)
 
 
-# (product, primes) blocks over every prime up to TRIAL_LIMIT
-_TRIAL_BLOCKS = _blocks(primes_upto(TRIAL_LIMIT))
+_TRIAL_BLOCKS = _trial_blocks()  # built once, at import
 
 
 def trial_divide(n: int, factors: dict) -> int:
