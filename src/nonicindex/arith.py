@@ -1,5 +1,7 @@
 """Exact integer utilities: primality, integer roots, perfect powers,
-p-adic valuations, unit parts, modular inverses and a bounded factorer.
+p-adic valuations, unit parts, modular inverses and a bounded factorer
+(trial division, Brent's rho and ECM on Montgomery curves), all on plain
+ints with no third-party package.
 
 All arithmetic is exact big-integer arithmetic; valuations of 0 are the
 float infinity sentinel so that zero polygon coefficients sort above every
@@ -8,6 +10,9 @@ finite lattice point.
 
 from __future__ import annotations
 
+import array
+import functools
+import itertools
 import math
 
 INFINITY = math.inf
@@ -217,31 +222,43 @@ def inv_mod_pk(p: int, x: int, k: int) -> int:
 
 # The chain's effort is counted in units.  A rho step (a modular squaring
 # and a product) on an operand of b bits costs 1 + (b // 256)^2 units, since
-# schoolbook products grow with the square of the length.  Counting units,
+# schoolbook products grow with the square of the length; ECM is charged the
+# same, one unit per two modular multiplications it runs.  Counting units,
 # not seconds, gives an input the same answer on every machine.
 TRIAL_LIMIT = 30_000  # trial division by every prime up to this
 _TRIAL_BLOCK = 64  # primes per block product
 _RHO_ROUNDS = 16  # rho walks per composite, each from its own start
 _RHO_BATCH = 128  # rho steps per gcd
 _RHO_UNITS = 1 << 17  # rho effort per composite, over all its rounds
-_ECM_B1, _ECM_B2 = 2_000, 200_000  # stage bounds, suited to factors of ~15 digits
-_ECM_CURVES = 16  # curves per ECM call
-_ECM_CURVE_UNITS = 1 << 16  # one curve at these bounds costs about this many rho steps
 _FACTOR_BUDGET = 1 << 22  # all effort of one bounded_factor call
 _FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
 _FACTOR_CEILING = 10**_FACTOR_DIGITS
+
+# ECM's stage-1 bound B1 and the curves run at it, in order (None: until
+# the budget runs out); B2 = 100 B1.  Rho's allowance rules out factors
+# below about 11 digits, and B1 = 600 costs the fewest units per factor of
+# 11-13 digits; then B1 follows Zimmermann and Dodson's table (15 digits:
+# 2000, 20 digits: 11000).
+_ECM_SCHEDULE = ((600, 30), (2_000, 30), (11_000, None))
+_ECM_D = 210  # stage 2's giant step; its baby steps are the j < D/2 prime to D
+_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+
+def _sieve(limit: int) -> bytearray:
+    """sieve[i] is 1 exactly when i <= limit is prime (Eratosthenes)."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return sieve
 
 
 def primes_upto(limit: int) -> tuple:
     """Every prime up to limit, by the sieve of Eratosthenes."""
     if limit < 2:
         return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
+    return tuple(itertools.compress(range(limit + 1), _sieve(limit)))
 
 
 def _trial_blocks() -> tuple:
@@ -274,6 +291,7 @@ def trial_divide(n: int, factors: dict) -> int:
 def _brent(n: int, c: int, y: int, cap: int) -> tuple:
     """Brent's rho walk y -> y^2 + c mod n, at most cap steps before the
     final backtrack, with one gcd per _RHO_BATCH steps (Brent, BIT 1980).
+    The product of the differences is reduced mod n once per four steps.
 
     Returns (d, steps): d is a divisor 1 < d < n, or None when the walk hit
     its cap or closed its cycle on n itself.
@@ -293,7 +311,13 @@ def _brent(n: int, c: int, y: int, cap: int) -> tuple:
             if batch <= 0:
                 return None, steps
             ys = y
-            for _ in range(batch):
+            for _ in range(batch >> 2):
+                y1 = (y * y + c) % n
+                y2 = (y1 * y1 + c) % n
+                y3 = (y2 * y2 + c) % n
+                y = (y3 * y3 + c) % n
+                q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+            for _ in range(batch & 3):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             g = math.gcd(q, n)
@@ -310,17 +334,155 @@ def _brent(n: int, c: int, y: int, cap: int) -> tuple:
     return (g if g < n else None), steps
 
 
+# Montgomery's curves B y^2 = x^3 + A x^2 + x in x-only coordinates (X : Z),
+# with a24 = (A + 2) / 4.  xDBL costs 5 multiplications mod n, xADD 6.
+def _xdbl(X: int, Z: int, n: int, a24: int) -> tuple:
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> tuple:
+    """P1 + P2 from P1, P2 and their difference (Xd : Zd)."""
+    u, v = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+    return Zd * (u + v) ** 2 % n, Xd * (u - v) ** 2 % n
+
+
+def _ladder_mults(k: int) -> int:
+    return 5 + 11 * (k.bit_length() - 1)
+
+
+def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> tuple:
+    """(kP, (k + 1)P) for P = (X : Z) and k >= 1, by Montgomery's ladder;
+    _ladder_mults(k) multiplications."""
+    X0, Z0 = X, Z
+    X1, Z1 = _xdbl(X, Z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            X0, Z0 = _xadd(X0, Z0, X1, Z1, X, Z, n)
+            X1, Z1 = _xdbl(X1, Z1, n, a24)
+        else:
+            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
+            X0, Z0 = _xdbl(X0, Z0, n, a24)
+    return (X0, Z0), (X1, Z1)
+
+
+_ECM_SETUP_MULTS = 16  # Suyama's point and a24, besides one inversion
+
+
+@functools.cache
+def _ecm_plan(b1: int) -> tuple:
+    """(E, k0, ends, baby, stage-1 mults, stage-2 mults) for the bounds B1
+    = b1 and B2 = 100 b1; built on first use, one per B1.
+
+    E is the product of the largest power of each prime up to B1 that is at
+    most B1.  Stage 2 meets each prime q in (B1, B2] as q = k D +- j, j one
+    of _ECM_BABY: giant step k, from k0 on, pairs with the baby steps whose
+    indices are baby[ends[k - k0 - 1] : ends[k - k0]] (one entry also
+    covers k D - j and k D + j both prime).
+    """
+    b2 = 100 * b1
+    sieve = _sieve(b2)
+    e = 1
+    for p in itertools.compress(range(b1 + 1), sieve):
+        power = p
+        while power * p <= b1:
+            power *= p
+        e *= power
+    half, width = _ECM_D // 2, len(_ECM_BABY)
+    k0 = (b1 + 1 + half) // _ECM_D
+    k1 = (b2 + half) // _ECM_D
+    index = {j: i for i, j in enumerate(_ECM_BABY)}
+    marks = bytearray(width * (k1 - k0 + 1))
+    for q in itertools.compress(range(b1 + 1, b2 + 1), sieve[b1 + 1 :]):
+        k = (q + half) // _ECM_D
+        marks[(k - k0) * width + index[abs(q - k * _ECM_D)]] = 1
+    baby, ends = bytearray(), array.array("I")
+    for row in range(0, len(marks), width):
+        baby.extend(itertools.compress(range(width), marks[row : row + width]))
+        ends.append(len(baby))
+    mults1 = _ECM_SETUP_MULTS + _ladder_mults(e)
+    # 2Q; 3Q, 5Q ... (D/2)Q; D Q; x = X / Z of the baby steps; the giant
+    # ladder; per giant step the next one; per pair two multiplications
+    mults2 = 5 + 6 * (half // 2) + 5 + 2 * width + _ladder_mults(k0) + 6 * len(ends) + 2 * len(baby)
+    return e, k0, ends, bytes(baby), mults1, mults2
+
+
+def _ecm_curve(n: int, sigma: int, plan: tuple) -> tuple:
+    """One ECM curve on n, Suyama's curve sigma: (d, mults), d a divisor
+    1 < d < n or None, and mults the multiplications mod n it ran (a stage
+    left early is charged in full)."""
+    e, k0, ends, baby, mults1, mults2 = plan
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    u3, v3 = u * u * u % n, v * v * v % n
+    # x = u^3 / v^3 and a24 = (v - u)^3 (3u + v) / (16 u^3 v), by one inverse
+    den = 16 * u3 * v % n
+    g = math.gcd(den * v3 % n, n)
+    if g != 1:
+        return (g if g < n else None), _ECM_SETUP_MULTS
+    inv = pow(den * v3 % n, -1, n)  # 1 / (16 u^3 v^4)
+    x = den * u3 * inv % n
+    a24 = pow(v - u, 3, n) * (3 * u + v) * v3 * inv % n
+    (X, Z), _ = _ladder(e, x, 1, n, a24)
+    g = math.gcd(Z, n)
+    if g != 1:
+        return (g if g < n else None), mults1
+    # stage 2: the baby steps jQ for odd j up to D/2, each from (j - 2)Q and 2Q
+    X2, Z2 = _xdbl(X, Z, n, a24)
+    odd = [(X, Z), _xadd(X2, Z2, X, Z, X, Z, n)]
+    for _ in range(_ECM_D // 4 - 1):
+        odd.append(_xadd(*odd[-1], X2, Z2, *odd[-2], n))
+    XG, ZG = _xdbl(*odd[-1], n, a24)  # D Q
+    g = math.gcd(math.prod(odd[j // 2][1] for j in _ECM_BABY) % n, n)
+    if g != 1:
+        return (g if g < n else None), mults1 + mults2
+    xs = [odd[j // 2][0] * pow(odd[j // 2][1], -1, n) % n for j in _ECM_BABY]
+    (Xk, Zk), (Xn, Zn) = _ladder(k0, XG, ZG, n, a24)
+    # X_k - x_j Z_k is 0 mod p when k D Q = +-j Q mod p
+    acc, start = 1, 0
+    for end in ends:
+        for i in baby[start:end]:
+            acc = acc * (Xk - xs[i] * Zk) % n
+        start = end
+        (Xk, Zk), (Xn, Zn) = (Xn, Zn), _xadd(Xn, Zn, XG, ZG, Xk, Zk, n)
+    g = math.gcd(acc, n)
+    return (g if 1 < g < n else None), mults1 + mults2
+
+
+def _ecm(n: int, cap: int) -> tuple:
+    """One factor of the composite n by ECM with Montgomery's curves
+    (Montgomery, Math. Comp. 48, 1987): Suyama's curves sigma = 6, 7, ...,
+    a ladder by E to B1 and baby-step giant-step to B2, B1 as _ECM_SCHEDULE
+    gives it.  A curve runs only if the units left afford all of it.
+
+    Returns (d, units): d is a divisor 1 < d < n or None, units the effort
+    spent, one per two multiplications mod n run, never more than cap.
+    """
+    spent, sigma = 0, 6
+    for b1, curves in _ECM_SCHEDULE:
+        plan = _ecm_plan(b1)
+        for _ in range(curves) if curves else itertools.count():
+            if spent + (plan[4] + plan[5] + 1) // 2 > cap:
+                return None, spent
+            d, mults = _ecm_curve(n, sigma, plan)
+            spent += (mults + 1) // 2
+            sigma += 1
+            if d is not None:
+                return d, spent
+    return None, spent
+
+
 def bounded_factor(n: int) -> tuple:
     """Factor |n| by a bounded, seeded chain.
 
     Trial division by the primes up to TRIAL_LIMIT, then for each
     remaining composite: _RHO_ROUNDS rounds of Brent's rho, round r walking
     from y = 2 + r with c = 1 + r, for at most _RHO_UNITS in all; then ECM
-    calls of up to _ECM_CURVES curves (Lenstra, Annals 1987) with seeds 1,
-    2, ..., each call as many curves as the budget still affords.  Every
-    step is charged to one budget of _FACTOR_BUDGET units per call; a part
-    the budget cannot afford, or with more than _FACTOR_DIGITS digits, is
-    left unfactored.  The same n always gets the same answer.
+    (Lenstra, Annals 1987) on Montgomery's curves, with B1 rising by
+    _ECM_SCHEDULE.  Every modular multiplication is charged to one budget
+    of _FACTOR_BUDGET units per call; a part the budget cannot afford, or
+    with more than _FACTOR_DIGITS digits, is left unfactored.  The same n
+    always gets the same answer.
 
     Returns (factors, leftover): factors maps primes to exponents, in
     increasing order, and leftover is 1 on success, else the product of
@@ -361,19 +523,9 @@ def bounded_factor(n: int) -> tuple:
             budget -= steps * weight
             if d is not None:
                 break
-        seed = 1
-        while d is None:
-            curves = min(_ECM_CURVES, budget // (_ECM_CURVE_UNITS * weight))
-            if not curves:
-                break
-            budget -= curves * _ECM_CURVE_UNITS * weight
-            from sympy.ntheory import ecm  # imported on first use: few inputs get here
-
-            try:
-                # a set of distinct primes of m: take one, split m by it
-                d = min(ecm(m, _ECM_B1, _ECM_B2, curves, seed))
-            except ValueError:
-                seed += 1
+        if d is None:
+            d, units = _ecm(m, budget // weight)
+            budget -= units * weight
         if d is None:
             leftover *= m
         else:

@@ -297,18 +297,21 @@ def _local_failure(a: int, b: int, chain=None) -> str | None:
 
 def _square_failure(a: int, b: int, factored: tuple) -> str | None:
     """The smallest prime p coprime to 6ab with p^2 | disc, as a failing
-    condition.  factored: bounded_factor of the disc's part prime to 6."""
+    condition.  factored: bounded_factor of the disc's part prime to 6.
+
+    A part left unfactored decides nothing, unless such a p up to
+    TRIAL_LIMIT was found: every prime of that part is larger, and trial
+    division found p's full exponent.
+    """
     dfac, leftover = factored
     ab = abs(a * b)
     if ab:
         while (shared := gcd(leftover, ab)) > 1:
             leftover //= shared
-    if leftover != 1:
+    p = next((p for p in sorted(dfac) if dfac[p] >= 2 and (ab == 0 or ab % p)), None)
+    if leftover != 1 and (p is None or p > TRIAL_LIMIT):
         raise IndeterminateFactorization(f"disc has an unfactored part {leftover}")
-    for p in sorted(dfac):
-        if dfac[p] >= 2 and (ab == 0 or ab % p):
-            return f"nu_{p}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
-    return None
+    return None if p is None else f"nu_{p}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
 
 
 # ---------------------------------------------------------------------------

@@ -414,9 +414,12 @@ def lift_poly(phibar) -> tuple:
 def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
     """Splitting of p and the Ore index, via one analyzed lift per factor.
 
-    overrides maps a factor of F mod p (a gf poly tuple) to the integer
-    lift to use for it; other factors get the naive lift.  Raises
-    NotRegular when some factor stays irregular after refinement.
+    When F mod p is irreducible and F is its own lift (its coefficients lie
+    in [0, p)), p is inert: the splitting is (1, deg F), the index 0, and
+    there is no analysis.  overrides maps a factor of F mod p (a gf poly
+    tuple) to the integer lift to use for it; other factors get the naive
+    lift.  Raises NotRegular when some factor stays irregular after
+    refinement.
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
@@ -429,6 +432,8 @@ def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
         phi = (overrides or {}).get(phibar) or lift_poly(phibar)
         if gf.reduce_mod_p(phi, p) != phibar:
             raise ValueError("override lift does not reduce to its factor")
+        if phi == ztrim(F):  # p is inert
+            return OreResult(splitting=Splitting.of([(1, zdeg(F))]), index=0, analyses=())
         analysis = (analyze_phi_refined if refine else analyze_phi)(F, p, phi)
         analyses.append(analysis)
         if not analysis.regular:

@@ -125,3 +125,11 @@ def test_verify_agreement_suite(capsys):
                        "--modulus", "5")
     assert code == EXIT_OK
     assert "0 mismatches" in out
+
+
+def test_verify_agreement_suite_over_inert_lifts(capsys):
+    # seed 1199 draws the lift (2, 6): x^9 + 2x + 6 is irreducible mod 7
+    code, out, _ = run(capsys, "verify", "--suite", "agreement", "--prime", "7",
+                       "--modulus", "7", "--lifts", "1", "--seed", "1199")
+    assert code == EXIT_OK
+    assert "0 mismatches" in out

@@ -3,6 +3,7 @@ division, Brent's rho and ECM under one deterministic budget, and the
 totality of classify above the chain's digit ceiling."""
 
 import os
+import random
 import subprocess
 import sys
 from math import gcd, prod
@@ -22,27 +23,34 @@ HUGE = (10**399 + 7, 10**400 + 1)  # a discriminant of 3,599 digits
 
 
 def _record_effort(monkeypatch):
-    """Count the rho steps, ECM calls and curves and primality-test arguments
-    of the chain."""
-    effort = {"rho_steps": 0, "ecm_calls": 0, "ecm_curves": 0, "isprime_digits": []}
-    walk, ecm, prime = arith._brent, sympy.ntheory.ecm, arith.is_prime
+    """Count the rho steps, ECM calls, curves and units and primality-test
+    arguments of the chain."""
+    effort = {"rho_steps": 0, "ecm_calls": 0, "ecm_curves": 0, "ecm_units": 0,
+              "isprime_digits": []}
+    walk, ecm, curve, prime = arith._brent, arith._ecm, arith._ecm_curve, arith.is_prime
 
     def counted_walk(n, c, y, cap):
         d, steps = walk(n, c, y, cap)
         effort["rho_steps"] += steps
         return d, steps
 
-    def counted_ecm(*args):
+    def counted_ecm(n, cap):
+        d, units = ecm(n, cap)
         effort["ecm_calls"] += 1
-        effort["ecm_curves"] += args[3]  # ecm(n, B1, B2, max_curve, seed)
-        return ecm(*args)
+        effort["ecm_units"] += units
+        return d, units
+
+    def counted_curve(*args):
+        effort["ecm_curves"] += 1
+        return curve(*args)
 
     def counted_isprime(n):
         effort["isprime_digits"].append(len(str(n)))
         return prime(n)
 
     monkeypatch.setattr(arith, "_brent", counted_walk)
-    monkeypatch.setattr(sympy.ntheory, "ecm", counted_ecm)
+    monkeypatch.setattr(arith, "_ecm", counted_ecm)
+    monkeypatch.setattr(arith, "_ecm_curve", counted_curve)
     monkeypatch.setattr(arith, "is_prime", counted_isprime)
     return effort
 
@@ -61,7 +69,7 @@ def test_exhausted_budget_leaves_the_composite(monkeypatch):
     monkeypatch.setattr(arith, "_FACTOR_BUDGET", 64)
     n = 1000003 * 1000033  # rho needs about a thousand steps for it
     assert bounded_factor(n) == ({}, n)
-    assert 0 < effort["rho_steps"] <= 64 and effort["ecm_calls"] == 0
+    assert 0 < effort["rho_steps"] <= 64 and effort["ecm_curves"] == 0
 
 
 def test_trial_division_reaches_the_largest_sieved_prime():
@@ -81,18 +89,41 @@ def test_hard_discriminants_factor_completely(a, b):
 
 
 def test_ecm_runs_within_the_budget_on_a_large_cofactor(monkeypatch):
-    # a 179-digit cofactor (592 bits, weight 5): 16 curves would cost more
-    # than the whole budget, so a call runs the curves the budget affords
+    # a 179-digit cofactor (592 bits, weight 5): ECM runs the curves the
+    # budget affords after rho, each charged per multiplication at weight 5
     effort = _record_effort(monkeypatch)
     q, r = nextprime(10**20), nextprime(10**18)
     n = q**8 * r
     weight = 1 + (n.bit_length() >> 8) ** 2
-    assert arith._ECM_CURVES * arith._ECM_CURVE_UNITS * weight > arith._FACTOR_BUDGET
+    assert weight == 5
     factors, leftover = bounded_factor(n)
     assert prod(p**e for p, e in factors.items()) * leftover == n
-    assert effort["ecm_calls"] >= 1
-    spent = (effort["rho_steps"] + effort["ecm_curves"] * arith._ECM_CURVE_UNITS) * weight
+    assert effort["ecm_calls"] >= 1 and effort["ecm_curves"] >= 1
+    spent = (effort["rho_steps"] + effort["ecm_units"]) * weight
     assert spent <= arith._FACTOR_BUDGET
+
+
+_rng = random.Random(2026)
+SEMIPRIMES = [  # (p, q): p of d digits and q of 24 - d, d = 8 ... 12
+    (nextprime(_rng.randrange(10 ** (d - 1), 10**d)), nextprime(_rng.randrange(10 ** (23 - d), 10 ** (24 - d))))
+    for d in range(8, 13)
+]
+
+
+@pytest.mark.parametrize("p, q", SEMIPRIMES)
+def test_ecm_splits_semiprimes(p, q):
+    d, units = arith._ecm(p * q, arith._FACTOR_BUDGET)
+    assert d in (p, q)
+    assert 0 < units <= arith._FACTOR_BUDGET
+    assert arith._ecm(p * q, arith._FACTOR_BUDGET) == (d, units)  # the same factor again
+
+
+def test_ecm_never_spends_more_than_its_cap():
+    n = nextprime(10**19) * nextprime(10**20)  # two primes past every curve here
+    for cap in (0, 1, 10_000, 60_000, 200_000):
+        d, units = arith._ecm(n, cap)
+        assert units <= cap
+        assert d is None or n % d == 0 and 1 < d < n
 
 
 def test_classify_is_total_above_the_digit_ceiling(monkeypatch):

@@ -1,7 +1,8 @@
 """The integer layer behind the factoring chain: arith.is_prime and
-arith.perfect_power against sympy, and the classifier importing sympy only
-when a cofactor reaches ECM."""
+arith.perfect_power against sympy, and a classifier that never imports
+sympy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from sympy import isprime, nextprime
 from sympy.ntheory.primetest import is_strong_selfridge_prp
 
+from nonicindex import arith
 from nonicindex.arith import (
     _PSI,
     _is_strong_lucas_probable_prime,
@@ -93,13 +95,15 @@ def test_perfect_power_matches_sympy(n):
     assert perfect_power(n) == sympy.perfect_power(n)
 
 
-def test_common_path_does_not_import_sympy():
-    # (51, 122) leaves the composite cofactor 1041857 x 2938654097, which rho
-    # splits: a primality test and a perfect-power test, but no ECM
+@pytest.mark.parametrize("a, b", [
+    (51, 122),  # rho splits the cofactor 1041857 x 2938654097
+    (67, -35),  # ECM splits the cofactor 122137355819 x 3744328045883
+])
+def test_common_path_does_not_import_sympy(a, b):
     code = (
         "import sys\n"
         "from nonicindex import cli\n"
-        "assert cli.main(['classify', '--a', '51', '--b', '122', '--json']) == 0\n"
+        f"assert cli.main(['classify', '--a', '{a}', '--b', '{b}', '--json']) == 0\n"
         "print('sympy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -109,14 +113,31 @@ def test_common_path_does_not_import_sympy():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_no_module_imports_sympy():
+    package = os.path.join(SRC, "nonicindex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "sympy" for m in modules), (name, node.lineno)
+
+
 def test_ecm_still_decides(monkeypatch):
     calls = []
-    ecm = sympy.ntheory.ecm
+    ecm = arith._ecm
 
     def counted_ecm(*args):
         calls.append(args)
         return ecm(*args)
 
-    monkeypatch.setattr(sympy.ntheory, "ecm", counted_ecm)
+    monkeypatch.setattr(arith, "_ecm", counted_ecm)
     assert classify(67, -35).monogenic_order is not None
     assert calls  # the cofactor got past rho

@@ -9,6 +9,7 @@ from nonicindex.nonic import (
     Certificate,
     IndeterminateFactorization,
     ReduciblePolynomial,
+    _disc_prime_to_6,
     classify,
     critical_shift,
     delta_unit,
@@ -69,8 +70,8 @@ def test_rho_rounds_start_distinct_walks(monkeypatch):
         return None, 1
 
     monkeypatch.setattr(arith, "_brent", failing_walk)
-    # a budget too small for one ECM call: the rho rounds are all there is
-    monkeypatch.setattr(arith, "_FACTOR_BUDGET", arith._ECM_CURVE_UNITS - 1)
+    # a budget too small for one ECM curve: the rho rounds are all there is
+    monkeypatch.setattr(arith, "_FACTOR_BUDGET", 1 << 12)
     n = 1000003 * 1000033  # two primes beyond the trial-division limit
     assert bounded_factor(n) == ({}, n)
     assert len(starts) == 16 and len(set(starts)) == 16
@@ -84,6 +85,20 @@ def test_is_order_maximal():
     flag, _ = is_order_maximal(3, 4)
     assert flag is False
     assert dedekind_divides(trinomial(3, 4), 2) is True  # oracle agrees
+
+
+def test_found_square_decides_beside_an_unfactored_part():
+    # a pair of the < 10^60 band drawn by random.Random(1060): its disc of
+    # 537 digits is past the factoring ceiling, but trial division finds 7^2
+    a = -555217388487409155080415657015160080619651194309370163651832
+    b = 681952787251671984912131095317516396517543137922904901232089
+    factors, leftover = bounded_factor(_disc_prime_to_6(a, b))
+    assert leftover != 1 and factors[7] == 2 and (a * b) % 7
+    detail = "nu_7(disc) = 2 > 1 with p coprime to 6ab"
+    assert is_order_maximal(a, b) == (False, detail)
+    report = classify(a, b)
+    assert (report.monogenic_order, report.monogenic_order_detail) == (False, detail)
+    assert any(w.startswith("disc has an unfactored part") for w in report.warnings)
 
 
 def test_maximality_matches_dedekind_over_disc_primes():

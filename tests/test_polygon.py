@@ -225,6 +225,24 @@ def test_ore_split_examples():
     assert ore_split(trinomial(54, 35), 3) == Splitting.of([(3, 1), (6, 1)])
 
 
+def test_ore_split_inert_primes():
+    # F mod p irreducible, and F its own lift (coefficients in [0, p)): the
+    # lift phi = F divides F, which the engine once took for a reducible F
+    inert = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        field = gf.PrimeField(p)
+        for a in range(p):
+            for b in range(p):
+                F = trinomial(a, b)
+                (_, mult), *rest = gf.factor(field, gf.reduce_mod_p(F, p)).factors
+                if rest or mult > 1:
+                    continue
+                inert += 1
+                res = ore_analyze(F, p)
+                assert (res.splitting, res.index) == (Splitting.of([(1, 9)]), 0), (a, b, p)
+    assert inert == 61
+
+
 def test_ore_split_not_regular():
     # nu_2(a) = 2, b = 0 mod 8 needs higher-order data
     with pytest.raises(NotRegularError):
