@@ -461,8 +461,9 @@ def _ecm(n: int, cap: int) -> tuple:
     spent, sigma = 0, 6
     for b1, curves in _ECM_SCHEDULE:
         plan = _ecm_plan(b1)
+        whole = (plan[4] + plan[5] + 1) // 2  # the units of a curve run to B2
         for _ in range(curves) if curves else itertools.count():
-            if spent + (plan[4] + plan[5] + 1) // 2 > cap:
+            if spent + whole > cap:
                 return None, spent
             d, mults = _ecm_curve(n, sigma, plan)
             spent += (mults + 1) // 2

@@ -9,7 +9,6 @@ import sys
 from math import gcd, prod
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime
@@ -72,6 +71,49 @@ def test_exhausted_budget_leaves_the_composite(monkeypatch):
     assert 0 < effort["rho_steps"] <= 64 and effort["ecm_curves"] == 0
 
 
+def _brent_reference(n, c, y, cap):
+    """Brent's rho as _brent runs it, with the product reduced every step."""
+    g = q = r = 1
+    steps = 0
+    while g == 1:
+        if steps + r > cap:
+            return None, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            batch = min(arith._RHO_BATCH, r - k, cap - steps)
+            if batch <= 0:
+                return None, steps
+            ys = y
+            for _ in range(batch):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            steps += batch
+            k += batch
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+            steps += 1
+    return (g if g < n else None), steps
+
+
+def test_unrolled_rho_matches_the_reference():
+    # reducing the product once per four steps changes no gcd, so the
+    # divisor and the step count are the reference's
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(10**12, 10**20) | 1
+        c, cap = rng.randrange(1, 4), rng.randrange(1, 5000)
+        assert arith._brent(n, c, c + 1, cap) == _brent_reference(n, c, c + 1, cap), (n, c, cap)
+
+
 def test_trial_division_reaches_the_largest_sieved_prime():
     # 29989 is the largest prime up to TRIAL_LIMIT
     n = 2**5 * 29989 * 29983**2 * 1000003
@@ -119,7 +161,7 @@ def test_ecm_splits_semiprimes(p, q):
 
 
 def test_ecm_never_spends_more_than_its_cap():
-    n = nextprime(10**19) * nextprime(10**20)  # two primes past every curve here
+    n = nextprime(10**19) * nextprime(10**20)  # primes of 20 and 21 digits
     for cap in (0, 1, 10_000, 60_000, 200_000):
         d, units = arith._ecm(n, cap)
         assert units <= cap

@@ -95,22 +95,21 @@ def test_perfect_power_matches_sympy(n):
     assert perfect_power(n) == sympy.perfect_power(n)
 
 
-@pytest.mark.parametrize("a, b", [
-    (51, 122),  # rho splits the cofactor 1041857 x 2938654097
-    (67, -35),  # ECM splits the cofactor 122137355819 x 3744328045883
-])
-def test_common_path_does_not_import_sympy(a, b):
-    code = (
-        "import sys\n"
-        "from nonicindex import cli\n"
-        f"assert cli.main(['classify', '--a', '{a}', '--b', '{b}', '--json']) == 0\n"
-        "print('sympy' in sys.modules)\n"
-    )
+def test_common_path_does_not_import_sympy():
+    # (51, 122): rho splits the cofactor 1041857 x 2938654097;
+    # (67, -35): ECM splits the cofactor 122137355819 x 3744328045883
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    for a, b in ((51, 122), (67, -35)):
+        code = (
+            "import sys\n"
+            "from nonicindex import cli\n"
+            f"assert cli.main(['classify', '--a', '{a}', '--b', '{b}', '--json']) == 0\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", (a, b)
 
 
 def test_no_module_imports_sympy():
