@@ -229,17 +229,20 @@ TRIAL_LIMIT = 30_000  # trial division by every prime up to this
 _TRIAL_BLOCK = 64  # primes per block product
 _RHO_ROUNDS = 16  # rho walks per composite, each from its own start
 _RHO_BATCH = 128  # rho steps per gcd
-_RHO_UNITS = 1 << 17  # rho effort per composite, over all its rounds
+_RHO_UNITS = 1 << 12  # rho effort per composite, over all its rounds
 _FACTOR_BUDGET = 1 << 22  # all effort of one bounded_factor call
 _FACTOR_DIGITS = 300  # a cofactor with more digits is left unfactored at once
 _FACTOR_CEILING = 10**_FACTOR_DIGITS
 
 # ECM's stage-1 bound B1 and the curves run at it, in order (None: until
-# the budget runs out); B2 = 100 B1.  Rho's allowance rules out factors
-# below about 11 digits, and B1 = 600 costs the fewest units per factor of
-# 11-13 digits; then B1 follows Zimmermann and Dodson's table (15 digits:
-# 2000, 20 digits: 11000).
-_ECM_SCHEDULE = ((600, 30), (2_000, 30), (11_000, None))
+# the budget runs out); B2 = 100 B1.  Measured on seeded semiprimes
+# (BENCH_12.json), rho and ECM cost the same units for a factor of 7
+# digits: rho's mean to a split rises from 1.3k units at 6 digits to 15k at
+# 8 and 165k at 10, ECM's at B1 = 150 from 2.2k to 6.4k and 29k.  So rho's
+# allowance covers factors of about 6-7 digits, B1 = 150 (the cheapest for
+# 8-11 digits) takes the next ones, then B1 = 600 (12-13 digits) and
+# Zimmermann and Dodson's table (15 digits: 2000, 20 digits: 11000).
+_ECM_SCHEDULE = ((150, 20), (600, 30), (2_000, 30), (11_000, None))
 _ECM_D = 210  # stage 2's giant step; its baby steps are the j < D/2 prime to D
 _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
 
@@ -354,16 +357,25 @@ def _ladder_mults(k: int) -> int:
 
 def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> tuple:
     """(kP, (k + 1)P) for P = (X : Z) and k >= 1, by Montgomery's ladder;
-    _ladder_mults(k) multiplications."""
-    X0, Z0 = X, Z
-    X1, Z1 = _xdbl(X, Z, n, a24)
+    _ladder_mults(k) multiplications.  xADD and xDBL are written out, so
+    that each step shares the sums and differences of its two points."""
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    t = s - d
+    X0, Z0, X1, Z1 = X, Z, s * d % n, t * (d + a24 * t) % n
     for bit in bin(k)[3:]:
-        if bit == "1":
-            X0, Z0 = _xadd(X0, Z0, X1, Z1, X, Z, n)
-            X1, Z1 = _xdbl(X1, Z1, n, a24)
-        else:
-            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
-            X0, Z0 = _xdbl(X0, Z0, n, a24)
+        p0, m0 = X0 + Z0, X0 - Z0
+        p1, m1 = X1 + Z1, X1 - Z1
+        u, v = m0 * p1, p0 * m1  # P0 + P1 is (Z (u + v)^2 : X (u - v)^2)
+        if bit == "1":  # (P0 + P1, 2 P1)
+            X0, Z0 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+            s, d = p1 * p1 % n, m1 * m1 % n
+            t = s - d
+            X1, Z1 = s * d % n, t * (d + a24 * t) % n
+        else:  # (2 P0, P0 + P1)
+            X1, Z1 = Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+            s, d = p0 * p0 % n, m0 * m0 % n
+            t = s - d
+            X0, Z0 = s * d % n, t * (d + a24 * t) % n
     return (X0, Z0), (X1, Z1)
 
 

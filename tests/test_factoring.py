@@ -114,15 +114,48 @@ def test_unrolled_rho_matches_the_reference():
         assert arith._brent(n, c, c + 1, cap) == _brent_reference(n, c, c + 1, cap), (n, c, cap)
 
 
+def _ladder_reference(k, X, Z, n, a24):
+    """Montgomery's ladder as _ladder runs it, by separate xDBL and xADD."""
+
+    def xdbl(X, Z):
+        s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    def xadd(X1, Z1, X2, Z2):
+        u, v = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+        return Z * (u + v) ** 2 % n, X * (u - v) ** 2 % n
+
+    P0, P1 = (X, Z), xdbl(X, Z)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            P0, P1 = xadd(*P0, *P1), xdbl(*P1)
+        else:
+            P0, P1 = xdbl(*P0), xadd(*P0, *P1)
+    return P0, P1
+
+
+def test_inlined_ladder_matches_the_reference():
+    # writing xDBL and xADD out changes no product mod n
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(10**12, 10**40) | 1
+        k = rng.randrange(1, 1 << rng.randrange(1, 300))
+        X, Z, a24 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        assert arith._ladder(k, X, Z, n, a24) == _ladder_reference(k, X, Z, n, a24), (k, X, Z, n, a24)
+
+
 def test_trial_division_reaches_the_largest_sieved_prime():
     # 29989 is the largest prime up to TRIAL_LIMIT
     n = 2**5 * 29989 * 29983**2 * 1000003
     assert bounded_factor(n) == ({2: 5, 29983: 2, 29989: 1, 1000003: 1}, 1)
 
 
-@pytest.mark.parametrize("a, b", [(707, 549), (203, 993)])
+@pytest.mark.parametrize("a, b", [(707, 549), (203, 993), (80, 31), (-82, 22), (-75080, -30531)])
 def test_hard_discriminants_factor_completely(a, b):
-    # cofactors of 33 and 34 digits with a 14-digit prime: past rho, ECM's work
+    # past rho, ECM's work: cofactors of 33 and 34 digits with a 14-digit
+    # prime, two of the benchmark pool's with a 10-digit prime, and a
+    # 44-digit one with a 17-digit prime
     n = _disc_prime_to_6(a, b)
     factors, leftover = bounded_factor(n)
     assert leftover == 1
@@ -146,9 +179,9 @@ def test_ecm_runs_within_the_budget_on_a_large_cofactor(monkeypatch):
 
 
 _rng = random.Random(2026)
-SEMIPRIMES = [  # (p, q): p of d digits and q of 24 - d, d = 8 ... 12
+SEMIPRIMES = [  # (p, q): p of d digits and q of 24 - d, d = 8 ... 12, then 6 and 7
     (nextprime(_rng.randrange(10 ** (d - 1), 10**d)), nextprime(_rng.randrange(10 ** (23 - d), 10 ** (24 - d))))
-    for d in range(8, 13)
+    for d in (*range(8, 13), 6, 7)
 ]
 
 

@@ -71,7 +71,8 @@ def test_rho_rounds_start_distinct_walks(monkeypatch):
 
     monkeypatch.setattr(arith, "_brent", failing_walk)
     # a budget too small for one ECM curve: the rho rounds are all there is
-    monkeypatch.setattr(arith, "_FACTOR_BUDGET", 1 << 12)
+    plan = arith._ecm_plan(arith._ECM_SCHEDULE[0][0])  # the cheapest curve
+    monkeypatch.setattr(arith, "_FACTOR_BUDGET", (plan[4] + plan[5] + 1) // 2 - 1)
     n = 1000003 * 1000033  # two primes beyond the trial-division limit
     assert bounded_factor(n) == ({}, n)
     assert len(starts) == 16 and len(set(starts)) == 16
