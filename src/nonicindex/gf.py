@@ -120,13 +120,7 @@ class ExtField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        _, r = pdivmod(self._base, tuple(v % self.p for v in prod), self.modulus)
-        return self._pad(r)
+        return self._pad(pmod(self._base, pmul(self._base, a, b), self.modulus))
 
     def inv(self, a):
         if not any(a):
@@ -383,6 +377,27 @@ def _pth_root_poly(F, f) -> tuple:
     return ptrim(tuple(F.pth_root(f[i]) for i in range(0, len(f), p)))
 
 
+def _squarefree_parts(F, f):
+    """Squarefree divisors of monic f that together hold each of its
+    irreducible factors.
+
+    Each step divides g by gcd(g, g') and goes on with that gcd; a g with
+    zero derivative is a p-th power and goes on as its p-th root.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if pdeg(g) <= 0:
+            continue
+        dg = pderiv(F, g)
+        if not dg:
+            stack.append(_pth_root_poly(F, g))
+            continue
+        core = pgcd(F, g, dg)
+        yield pdivmod(F, g, core)[0]
+        stack.append(core)
+
+
 def distinct_degree(F, f):
     """Split monic squarefree f into [(product of its degree-d factors, d)].
 
@@ -481,21 +496,9 @@ def factor(F, f) -> Factorization:
     unit, monic = pmonic(F, f)
     # collect the set of irreducible factors, then read off multiplicities
     irreducibles = set()
-    stack = [monic]
-    while stack:
-        g = stack.pop()
-        if pdeg(g) <= 0:
-            continue
-        dg = pderiv(F, g)
-        if not dg:
-            stack.append(_pth_root_poly(F, g))
-            continue
-        core = pgcd(F, g, dg)
-        squarefree = pdivmod(F, g, core)[0]
+    for squarefree in _squarefree_parts(F, monic):
         for part, d in distinct_degree(F, squarefree):
-            for psi in _equal_degree_exhaustive(F, part, d):
-                irreducibles.add(psi)
-        stack.append(core)
+            irreducibles.update(_equal_degree_exhaustive(F, part, d))
     found = []
     rem = monic
     for psi in sorted(irreducibles, key=lambda c: (len(c), c)):
@@ -522,20 +525,8 @@ def radical(F, f) -> tuple:
     if not f:
         raise ValueError("zero polynomial has no radical")
     rad = (F.one,)
-    stack = [pmonic(F, f)[1]]
-    while stack:
-        g = stack.pop()
-        if pdeg(g) <= 0:
-            continue
-        dg = pderiv(F, g)
-        if not dg:
-            stack.append(_pth_root_poly(F, g))
-            continue
-        core = pgcd(F, g, dg)
-        squarefree = pdivmod(F, g, core)[0]
-        new_part = pdivmod(F, squarefree, pgcd(F, rad, squarefree))[0]
-        rad = pmul(F, rad, new_part)
-        stack.append(core)
+    for squarefree in _squarefree_parts(F, pmonic(F, f)[1]):
+        rad = pmul(F, rad, pdivmod(F, squarefree, pgcd(F, rad, squarefree))[0])
     return rad
 
 

@@ -24,7 +24,6 @@ from .arith import (
     bounded_factor,
     inv_mod_pk,
     primes_upto,
-    trial_divide,
     unit_part,
     val,
 )
@@ -82,11 +81,12 @@ def is_normalized(a: int, b: int) -> bool:
     """
     if (a, b) == (0, 0):
         return False
-    stripped, unsplit, _ = _normalize(a, b)
+    stripped, gcd_factored = _normalize(a, b)
     if stripped != (a, b):
         return False
-    if unsplit != 1:
-        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {unsplit}")
+    leftover = gcd_factored[1] if gcd_factored else 1
+    if leftover >= TRIAL_LIMIT**8:
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {leftover}")
     return True
 
 
@@ -95,44 +95,31 @@ def normalize(a: int, b: int) -> tuple:
 
     The result defines the same field.  A prime that can be stripped has
     p^8 | gcd(a, b), so only the primes of the gcd are visited, and a
-    coprime pair returns at once.  Trial division finds every prime up to
-    TRIAL_LIMIT.  A larger prime can divide the gcd eight times only when
-    the part that trial division leaves is at least TRIAL_LIMIT^8, and
-    only then does that part go to bounded_factor.  A prime that its budget
-    cannot split out (one of more than about 15 digits) is not stripped;
-    is_normalized raises and classify warns when that may have happened.
+    coprime pair returns at once.  The gcd goes to bounded_factor when it
+    is at least 2^8.  A prime that its budget cannot split out (one of more
+    than about 15 digits) is not stripped; is_normalized raises and
+    classify warns when that may have happened.
     """
     return _normalize(a, b)[0]
 
 
 def _normalize(a: int, b: int) -> tuple:
-    """((a, b) normalized, unsplit, chain).  unsplit is 1, or the part of
-    the gcd that bounded_factor left unfactored when it is at least
-    TRIAL_LIMIT^8.  chain is None, or (rest, bounded_factor(rest)) for the
-    part of the gcd past trial division, for _local_failure to reuse.
+    """((a, b) normalized, gcd_factored): gcd_factored is bounded_factor of
+    gcd(a, b), or None when the gcd is below 2^8 and no p^8 divides it.
 
     Every prime found is tested, whatever its count, so a prime that was
-    not stripped but should have been lies wholly in that part, eight
-    times over.
+    not stripped but should have been lies wholly in the unfactored part,
+    eight times over.
     """
     g = gcd(a, b)
     if g < 2**8:
-        return (a, b), 1, None
-    factors: dict = {}
-    rest = trial_divide(g, factors)
-    unsplit = 1
-    chain = None
-    if rest >= TRIAL_LIMIT**8:
-        chain = (rest, bounded_factor(rest))
-        found, leftover = chain[1]
-        factors.update(found)
-        if leftover >= TRIAL_LIMIT**8:
-            unsplit = leftover
-    for p in factors:
+        return (a, b), None
+    gcd_factored = bounded_factor(g)
+    for p in gcd_factored[0]:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
-    return (a, b), unsplit, chain
+    return (a, b), gcd_factored
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,7 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):
         vb = val(p, b)
-        va = val(p, a) if a else INFINITY
+        va = val(p, a)
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed_degrees = None
@@ -250,42 +237,33 @@ def is_order_maximal(a: int, b: int) -> tuple:
     IndeterminateFactorization when the bounded factoring pass cannot
     certify squarefreeness of the relevant part.
     """
-    failing = _local_failure(a, b) or _square_failure(
+    failing = _local_failure(a, b, bounded_factor(gcd(a, b))) or _square_failure(
         a, b, bounded_factor(_disc_prime_to_6(a, b))
     )
     return failing is None, failing
 
 
 def _disc_prime_to_6(a: int, b: int) -> int:
-    d = disc(a, b)
-    if d == 0:
-        raise ReduciblePolynomial("discriminant is zero")
-    return unit_part(3, unit_part(2, abs(d)))
+    return abs(unit_part(3, delta_unit(a, b, 2)))
 
 
-def _local_failure(a: int, b: int, chain=None) -> str | None:
+def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
     """The failing maximality condition at 2, 3 or a prime dividing gcd(a, b).
 
-    The gcd is factored as bounded_factor would factor it: trial division,
-    then the chain on the rest, unless chain (from _normalize) already
-    holds the chain's result for that same rest.
+    gcd_factored is bounded_factor of gcd(a, b), or of a multiple of it
+    such as the gcd before normalization: its found primes that divide
+    gcd(a, b) are tested, and what they leave of gcd(a, b) is unfactored.
     """
     g = gcd(a, b)
+    primes = [p for p in gcd_factored[0] if g % p == 0]
+    for p in primes:
+        while g % p == 0:
+            g //= p
     if g > 1:
-        gfac: dict = {}
-        rest = trial_divide(g, gfac)
-        if chain and chain[0] == rest:
-            found, leftover = chain[1]
-        else:
-            found, leftover = bounded_factor(rest)
-        gfac.update(found)
-        if leftover != 1:
-            raise IndeterminateFactorization(
-                f"gcd(a,b) has an unfactored part {leftover}"
-            )
-        for p in sorted(gfac):
-            if val(p, b) != 1:
-                return f"p={p} divides a and b with nu_p(b) != 1"
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {g}")
+    for p in primes:
+        if val(p, b) != 1:
+            return f"p={p} divides a and b with nu_p(b) != 1"
     if a % 2 and b % 2 == 0:
         if (a % 4, b % 4) not in _MOD4_MAXIMAL:
             return f"(a,b) = ({a % 4},{b % 4}) mod 4"
@@ -409,10 +387,6 @@ def _table_entry(a, b, table, tag):
     raise Unclassified(f"no {tag} row matches ({a}, {b})")
 
 
-def _vinf(p, n):
-    return val(p, n) if n else INFINITY
-
-
 def critical_shift(a: int, b: int, p: int, precision: int) -> int:
     """Integer u = -9b/(8a) mod p^precision (the double root direction)."""
     g = val(p, 8 * a)
@@ -439,7 +413,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
     if b % 2:
         split = ore_analyze(F, 2).splitting
         return PrimeEntry(2, nu_lookup(split, 2), split, "2:unit-b")
-    va, vb = _vinf(2, a), _vinf(2, b)
+    va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
     if va >= 1:
@@ -461,7 +435,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
             return _table_entry(a, b, _TABLE_A6, "a6")
         raise Unclassified(f"unexpected nu_2(a) = {va}")  # pragma: no cover
     # a odd, b even: the polygon sits over the lift of x - 1
-    w0, w1 = _vinf(2, a + b + 1), _vinf(2, a + 9)
+    w0, w1 = val(2, a + b + 1), val(2, a + 9)
     if w0 == 1:
         return PrimeEntry(2, IndexValuation.exact(0), _ONE_EIGHT, "2:lin:(1,0)|(3,2)m4")
     if w1 == 1:
@@ -518,7 +492,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
     if a % 3:
         split = ore_analyze(F, 3).splitting
         return PrimeEntry(3, nu_lookup(split, 3), split, "3:unit-a")
-    va, vb = _vinf(3, a), _vinf(3, b)
+    va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
         if va >= 8 and vb >= 9:
             raise ValueError("input not normalized at 3")
@@ -542,7 +516,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
         return PrimeEntry(3, nu_lookup(split, 3), split, f"3:x:two-sides:d{d}:va={va}")
     # 3 | a, 3 does not divide b: the reduction is (x - s)^9 with s = -b mod 3
     s = 1 if b % 3 == 2 else -1
-    w0, w1 = _vinf(3, zeval(F, s)), _vinf(3, a + 9)
+    w0, w1 = val(3, zeval(F, s)), val(3, a + 9)
     tag = f"3:lin{'+' if s == 1 else '-'}"
     if w0 == 1:
         return PrimeEntry(3, IndexValuation.exact(0), _TOTALLY_RAMIFIED, f"{tag}:w0=1")
@@ -561,7 +535,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
     # shift when the naive lift is irregular
     phibar = gf.ptrim(((-s) % 3, 1))
     try:
-        res = ore_analyze(F, 3, refine=False, overrides={phibar: (-s, 1)})
+        res = ore_analyze(F, 3, overrides={phibar: (-s, 1)})
         split = res.splitting
         return PrimeEntry(3, nu_lookup(split, 3), split,
                           f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
@@ -576,7 +550,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
         shape, sub = _NU3_DEEP_SHAPES["even:split"], "veven:D3=-1"
     precision = int(v) + 10
     u = critical_shift(a, b, 3, precision)
-    deep = ore_analyze(F, 3, refine=False, overrides={phibar: ztrim((-u, 1))})
+    deep = ore_analyze(F, 3, overrides={phibar: ztrim((-u, 1))})
     if deep.splitting != shape:
         raise Unclassified(
             f"shifted polygon gave {deep.splitting}, expected {shape}"
@@ -657,16 +631,17 @@ def classify(a: int, b: int) -> ClassifierReport:
     nu_3, records nu_p = 0 for the primes p >= 5 dividing the
     discriminant, and assembles i(K) = 2^nu2 * 3^nu3 when both are exact.
     Each integer is factored once: the discriminant's part prime to 6, and
-    the part of gcd(a, b) past trial division, whose factors serve both
-    normalization and the maximality test.
+    gcd(a, b), whose factors serve both normalization and the maximality
+    test.
     """
     a_in, b_in = a, b
     warnings = []
-    (a, b), unsplit, gcd_chain = _normalize(a, b)
+    (a, b), gcd_factored = _normalize(a, b)
     if (a, b) != (a_in, b_in):
         warnings.append(f"input normalized to (a, b) = ({a}, {b})")
-    if unsplit != 1:
-        warnings.append(f"normalization undecided: gcd(a,b) has an unfactored part {unsplit}")
+    if gcd_factored and gcd_factored[1] >= TRIAL_LIMIT**8:
+        warnings.append("normalization undecided: gcd(a,b) has an unfactored part "
+                        f"{gcd_factored[1]}")
     cert, cert_detail = irreducibility_certificate(a, b)
     if cert is Certificate.REDUCIBLE:
         raise ReduciblePolynomial(cert_detail)
@@ -694,29 +669,17 @@ def classify(a: int, b: int) -> ClassifierReport:
             "it are omitted from the report (their nu is 0 regardless)"
         )
     try:
-        failing = (_local_failure(a, b, gcd_chain)
+        failing = (_local_failure(a, b, gcd_factored or bounded_factor(gcd(a, b)))
                    or _square_failure(a, b, factored))
         maximal = failing is None
     except IndeterminateFactorization as exc:
         maximal, failing = None, str(exc)
         warnings.append(f"maximality undecided: {exc}")
     nu2_val, nu3_val = entries[2].nu, entries[3].nu
-    i_K = None
-    if nu2_val.is_exact and nu3_val.is_exact:
-        i_K = 2**nu2_val.value * 3**nu3_val.value
-    known = 1
-    for p in (2, 3):
-        nu = entries[p].nu
-        if nu.value:
-            known *= p**nu.value
-    if i_K is not None and i_K > 1:
-        field_monogenic = False
-    elif maximal:
-        field_monogenic = True
-    elif i_K == 1:
-        field_monogenic = None  # index 1 alone does not decide monogenicity
-    else:
-        field_monogenic = False if known > 1 else None
+    known = 2**nu2_val.value * 3**nu3_val.value
+    i_K = known if nu2_val.is_exact and nu3_val.is_exact else None
+    # a proven index divisor > 1 rules monogenicity out; index 1 alone does not decide it
+    field_monogenic = False if known > 1 else (True if maximal else None)
     return ClassifierReport(
         a_input=a_in,
         b_input=b_in,

@@ -411,15 +411,15 @@ def lift_poly(phibar) -> tuple:
     return ztrim(tuple(int(c) for c in phibar))
 
 
-def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
+def ore_analyze(F, p: int, overrides=None) -> OreResult:
     """Splitting of p and the Ore index, via one analyzed lift per factor.
 
     When F mod p is irreducible and F is its own lift (its coefficients lie
     in [0, p)), p is inert: the splitting is (1, deg F), the index 0, and
     there is no analysis.  overrides maps a factor of F mod p (a gf poly
-    tuple) to the integer lift to use for it; other factors get the naive
-    lift.  Raises NotRegular when some factor stays irregular after
-    refinement.
+    tuple) to the integer lift to use for it, analyzed as given; other
+    factors get the naive lift, refined.  Raises NotRegular when some
+    factor stays irregular.
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
@@ -429,12 +429,13 @@ def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
     analyses = []
     pairs = []
     for phibar, _mult in fact.factors:
-        phi = (overrides or {}).get(phibar) or lift_poly(phibar)
+        override = (overrides or {}).get(phibar)
+        phi = override or lift_poly(phibar)
         if gf.reduce_mod_p(phi, p) != phibar:
             raise ValueError("override lift does not reduce to its factor")
         if phi == ztrim(F):  # p is inert
             return OreResult(splitting=Splitting.of([(1, zdeg(F))]), index=0, analyses=())
-        analysis = (analyze_phi_refined if refine else analyze_phi)(F, p, phi)
+        analysis = (analyze_phi if override else analyze_phi_refined)(F, p, phi)
         analyses.append(analysis)
         if not analysis.regular:
             continue
@@ -456,8 +457,8 @@ def ore_analyze(F, p: int, refine: bool = True, overrides=None) -> OreResult:
     )
 
 
-def ore_split(F, p: int, refine: bool = True, overrides=None) -> Splitting:
-    return ore_analyze(F, p, refine=refine, overrides=overrides).splitting
+def ore_split(F, p: int, overrides=None) -> Splitting:
+    return ore_analyze(F, p, overrides).splitting
 
 
 def is_p_regular(F, p: int, phis=None):

@@ -194,8 +194,9 @@ def test_normalize_says_when_a_prime_may_be_left():
 ])
 def test_classify_factors_the_gcd_once(monkeypatch, scale, digest):
     # The budget cannot split q^8 r.  classify spends it on that number once,
-    # for normalization and the maximality test alike, and its report is the
-    # one it gave when it factored the number twice (digest of that JSON).
+    # for normalization and the maximality test alike: exactly one call
+    # leaves it unfactored.  The report is the one it gave when it factored
+    # the number twice (digest of that JSON).
     q, r = nextprime(10**20), nextprime(10**18)
     a, b = scale**8 * 5 * q**8 * r, scale**9 * (3 if scale > 1 else 7) * q**9 * r
     seen = []
@@ -208,7 +209,7 @@ def test_classify_factors_the_gcd_once(monkeypatch, scale, digest):
 
     monkeypatch.setattr(nonic, "bounded_factor", counted)
     text = json.dumps(classify(a, b).to_json(), sort_keys=True)
-    assert [n for n, leftover in seen if n == leftover == q**8 * r] == [q**8 * r]
+    assert [leftover for n, leftover in seen].count(q**8 * r) == 1
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

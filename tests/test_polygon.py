@@ -300,7 +300,7 @@ def test_tame_discriminant_identity():
             if disc(a, b) == 0:
                 continue
             try:
-                res = ore_analyze(trinomial(a, b), p, refine=False)
+                res = ore_analyze(trinomial(a, b), p)
             except (NotRegularError, ValueError):
                 continue
             if any(e % p == 0 for e, _ in res.splitting.primes):
