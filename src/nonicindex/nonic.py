@@ -165,7 +165,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     Proven: a totally-ramified polygon at some small prime, an irreducible
     reduction mod p <= 100, or mod-p factor-degree patterns whose subset
     sums only allow the trivial factor degrees.  Reducible: an integer
-    root, the smallest one being reported.  Unknown otherwise.
+    root, the smallest one being reported, or a = 0 with b a cube.
+    Unknown otherwise.
 
     F is monic, so F mod p is squarefree exactly when p does not divide
     disc(a, b), and then the degrees of its irreducible factors give both
@@ -188,6 +189,11 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     root = _smallest_integer_root(a, b)
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {root}"
+    if a == 0:
+        # Capelli: x^9 + b is reducible exactly when b = c^3, with factor x^3 + c
+        c = _iroot(abs(b), 3)
+        if c**3 == abs(b):
+            return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {'+' if b > 0 else '-'} {c}"
     F = trinomial(a, b)
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):

@@ -22,7 +22,7 @@ from nonicindex.nonic import (
     nu2,
     nu3,
 )
-from nonicindex.polygon import NotRegularError, Splitting, dedekind_divides, trinomial
+from nonicindex.polygon import NotRegularError, Splitting, dedekind_divides, trinomial, zmul
 
 S = Splitting.of
 
@@ -60,6 +60,23 @@ def test_certificate():
     # x^9 - 1 has the root 1
     cert, detail = irreducibility_certificate(0, -1)
     assert cert is Certificate.REDUCIBLE and "root" in detail
+
+
+@pytest.mark.parametrize("c", [-5, -4, -3, -2, 2, 3, 4, 5])
+def test_certificate_names_the_cubic_factor_when_a_is_0(c):
+    # Capelli: x^9 + c^3 = (x^3 + c)(x^6 - c x^3 + c^2), and has no integer root
+    assert zmul((c, 0, 0, 1), (c * c, 0, 0, -c, 0, 0, 1)) == trinomial(0, c**3)
+    cert, detail = irreducibility_certificate(0, c**3)
+    assert cert is Certificate.REDUCIBLE
+    assert detail == f"b is a cube: factor x^3 {'+' if c > 0 else '-'} {abs(c)}"
+    with pytest.raises(ReduciblePolynomial):
+        classify(0, c**3)
+
+
+def test_certificate_proves_x9_plus_a_non_cube():
+    # Capelli: x^9 + b is irreducible when b is not a cube
+    for b in (2, -4, 16, -54, 1001):
+        assert irreducibility_certificate(0, b)[0] is Certificate.PROVEN, b
 
 
 def test_rho_rounds_start_distinct_walks(monkeypatch):
