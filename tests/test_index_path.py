@@ -209,7 +209,7 @@ def test_classify_factors_the_gcd_once(monkeypatch, scale, digest):
 
     monkeypatch.setattr(nonic, "bounded_factor", counted)
     text = json.dumps(classify(a, b).to_json(), sort_keys=True)
-    assert [leftover for n, leftover in seen].count(q**8 * r) == 1
+    assert [leftover for _, leftover in seen].count(q**8 * r) == 1
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
