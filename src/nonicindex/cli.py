@@ -20,7 +20,7 @@ from .nonic import (
     critical_shift,
     disc,
 )
-from .polygon import ExactDivisorError, analyze_phi, trinomial, ztrim
+from .polygon import ExactDivisorError, analyze_phi, trinomial
 from .verify import CSV_HEADER, DEFAULT_SEED, check_sweep_options, run_suite
 
 SCHEMA_VERSION = "1"
@@ -101,7 +101,7 @@ def _build_phi(args) -> tuple:
         raise ReduciblePolynomial("discriminant is zero")
     precision = int(val(args.p, d)) + 10
     u = critical_shift(args.a, args.b, args.p, precision)
-    return ztrim((-u, 1))
+    return gf.ztrim((-u, 1))
 
 
 def _cmd_polygon(args) -> int:
@@ -129,7 +129,7 @@ def _cmd_polygon(args) -> int:
     sides_payload = []
     for sd in analysis.sides:
         factors = [
-            {"poly": gf.format_poly(sd.field, psi), "multiplicity": m}
+            {"poly": gf.format_poly(psi), "multiplicity": m}
             for psi, m in sd.factorization.factors
         ]
         sides_payload.append(
@@ -140,7 +140,7 @@ def _cmd_polygon(args) -> int:
                 "e": sd.side.e,
                 "length": sd.side.length,
                 "degree": sd.side.degree,
-                "residual": gf.format_poly(sd.field, sd.residual),
+                "residual": gf.format_poly(sd.residual),
                 "residual_factors": factors,
                 "squarefree": sd.squarefree,
             }
@@ -158,7 +158,7 @@ def _cmd_polygon(args) -> int:
     if args.json:
         print(_envelope("polygon", inputs, result, []))
         return EXIT_OK
-    print(f"phi = {gf.format_poly(field, phibar, var='x')} lifted as {analysis.phi}")
+    print(f"phi = {gf.format_poly(phibar, var='x')} lifted as {analysis.phi}")
     print(f"expansion valuations: {result['expansion_valuations']}")
     print(f"vertices: {result['vertices']}")
     for s in sides_payload:

@@ -56,14 +56,19 @@ class PrimeField:
     def from_int(self, n: int):
         return n % self.p
 
+    def from_coeffvec(self, ints):
+        """Element from the integer coefficients of a representative."""
+        return ints[0] % self.p if ints else 0
+
+    def to_coeffvec(self, a) -> tuple:
+        """The element's integer coefficients, inverse to from_coeffvec."""
+        return (a,)
+
     def pth_root(self, a):
         return a  # Frobenius is the identity on F_p
 
     def elements(self):
         return range(self.p)
-
-    def format_elem(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -145,6 +150,10 @@ class ExtField:
             raise ValueError("representative too long")
         return self._pad(tuple(c % self.p for c in ints))
 
+    def to_coeffvec(self, a) -> tuple:
+        """The element's integer coefficients, inverse to from_coeffvec."""
+        return a
+
     def pth_root(self, a):
         # a -> a^(q/p); the p-th power map is a bijection with this inverse
         return _elem_pow(self, a, self.q // self.p)
@@ -152,21 +161,6 @@ class ExtField:
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.degree):
             yield tup
-
-    def format_elem(self, a) -> str:
-        terms = []
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c) + "*"
-                terms.append(f"{head}z" if i == 1 else f"{head}z^{i}")
-        if not terms:
-            return "0"
-        body = " + ".join(terms)
-        return body if len(terms) == 1 and a[0] else f"({body})"
 
     def __eq__(self, other):
         return (
@@ -224,7 +218,9 @@ def pscale(F, f, e) -> tuple:
     return ptrim(tuple(F.mul(c, e) for c in f))
 
 
-def _trim_ints(c) -> tuple:
+def ztrim(c) -> tuple:
+    """A sequence of ints, such as an integer or F_p polynomial, without
+    its trailing zeros."""
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
@@ -241,7 +237,7 @@ def pmul(F, f, g) -> tuple:
                 for j, y in enumerate(g):
                     out[i + j] += x * y
         p = F.p
-        return _trim_ints([c % p for c in out])
+        return ztrim([c % p for c in out])
     out = [F.zero] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if nonzero(x):
@@ -272,7 +268,7 @@ def pdivmod(F, f, g) -> tuple:
 
 def _pdivmod_ints(p: int, f, g) -> tuple:
     """pdivmod over F_p on plain ints, reduced mod p once per coefficient."""
-    f, g = _trim_ints(f), _trim_ints(g)
+    f, g = ztrim(f), ztrim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     m = len(g)
@@ -287,7 +283,7 @@ def _pdivmod_ints(p: int, f, g) -> tuple:
         if c:
             for j, y in enumerate(g):
                 rem[i + j] -= c * y
-    return _trim_ints(quo), _trim_ints([c % p for c in rem[: m - 1]])
+    return ztrim(quo), ztrim([c % p for c in rem[: m - 1]])
 
 
 def pmod(F, f, g) -> tuple:
@@ -446,7 +442,7 @@ def _frobenius_ints(F, f):
             if c:
                 for j, r in enumerate(row):
                     acc[j] += c * r
-        return _trim_ints([c % p for c in acc])
+        return ztrim([c % p for c in acc])
 
     return frobenius
 
@@ -532,7 +528,7 @@ def radical(F, f) -> tuple:
 
 def reduce_mod_p(coeffs, p: int) -> tuple:
     """Image of an integer polynomial in F_p[x]."""
-    return _trim_ints([c % p for c in coeffs])
+    return ztrim([c % p for c in coeffs])
 
 
 def _mobius(n: int) -> int:
@@ -558,19 +554,16 @@ def count_monic_irreducible(p: int, f: int) -> int:
     return total // f
 
 
-def format_poly(F, coeffs, var: str = "y") -> str:
-    coeffs = ptrim(coeffs)
-    if not coeffs:
-        return "0"
+def format_poly(coeffs, var: str = "y") -> str:
+    """An F_p polynomial as text, highest degree first."""
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if not nonzero(c):
+        if not c:
             continue
-        cs = F.format_elem(c)
         if i == 0:
-            terms.append(cs)
+            terms.append(str(c))
         else:
             xpart = var if i == 1 else f"{var}^{i}"
-            terms.append(xpart if cs == "1" else f"{cs}*{xpart}")
-    return " + ".join(terms)
+            terms.append(xpart if c == 1 else f"{c}*{xpart}")
+    return " + ".join(terms) or "0"

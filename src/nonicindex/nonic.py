@@ -36,7 +36,6 @@ from .polygon import (
     ore_analyze,
     trinomial,
     zeval,
-    ztrim,
 )
 
 
@@ -425,7 +424,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
     if va >= 1:
         if 8 * vb < 9 * va:
             if gcd(int(vb), 9) == 1:
-                return PrimeEntry(2, IndexValuation.exact(0), _TOTALLY_RAMIFIED,
+                return PrimeEntry(2, nu_lookup(_TOTALLY_RAMIFIED, 2), _TOTALLY_RAMIFIED,
                                   f"2:x:one-side:d1:vb={vb}")
             split = _RAMIFIED_3_3
             return PrimeEntry(2, nu_lookup(split, 2), split, f"2:x:one-side:d3:vb={vb}")
@@ -443,7 +442,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
     # a odd, b even: the polygon sits over the lift of x - 1
     w0, w1 = val(2, a + b + 1), val(2, a + 9)
     if w0 == 1:
-        return PrimeEntry(2, IndexValuation.exact(0), _ONE_EIGHT, "2:lin:(1,0)|(3,2)m4")
+        return PrimeEntry(2, nu_lookup(_ONE_EIGHT, 2), _ONE_EIGHT, "2:lin:(1,0)|(3,2)m4")
     if w1 == 1:
         split = _THREE_LINEAR_7
         return PrimeEntry(2, nu_lookup(split, 2), split, "2:lin:(1,2)m4")
@@ -504,7 +503,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
             raise ValueError("input not normalized at 3")
         if 8 * vb < 9 * va:
             if gcd(int(vb), 9) == 1:
-                return PrimeEntry(3, IndexValuation.exact(0), _TOTALLY_RAMIFIED,
+                return PrimeEntry(3, nu_lookup(_TOTALLY_RAMIFIED, 3), _TOTALLY_RAMIFIED,
                                   f"3:x:one-side:d1:vb={vb}")
             # slope -vb/9 with e = 3: every ramification index above 3 is a
             # multiple of 3, so at most three primes of residue degree 1 and
@@ -525,7 +524,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
     w0, w1 = val(3, zeval(F, s)), val(3, a + 9)
     tag = f"3:lin{'+' if s == 1 else '-'}"
     if w0 == 1:
-        return PrimeEntry(3, IndexValuation.exact(0), _TOTALLY_RAMIFIED, f"{tag}:w0=1")
+        return PrimeEntry(3, nu_lookup(_TOTALLY_RAMIFIED, 3), _TOTALLY_RAMIFIED, f"{tag}:w0=1")
     if w1 == 1:
         return PrimeEntry(3, nu_lookup(_ONE_EIGHT, 3), _ONE_EIGHT, f"{tag}:w1=1")
     if w0 == 2:
@@ -556,7 +555,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
         shape, sub = _NU3_DEEP_SHAPES["even:split"], "veven:D3=-1"
     precision = int(v) + 10
     u = critical_shift(a, b, 3, precision)
-    deep = ore_analyze(F, 3, overrides={phibar: ztrim((-u, 1))})
+    deep = ore_analyze(F, 3, overrides={phibar: gf.ztrim((-u, 1))})
     if deep.splitting != shape:
         raise Unclassified(
             f"shifted polygon gave {deep.splitting}, expected {shape}"

@@ -20,22 +20,11 @@ from math import gcd
 
 from . import gf
 from .arith import INFINITY, val
+from .gf import pdeg, ztrim
 
 
 # ---------------------------------------------------------------------------
 # integer polynomials
-
-
-def ztrim(c) -> tuple:
-    c = tuple(c)
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def zdeg(c) -> int:
-    return len(c) - 1
 
 
 def zsub(f, g) -> tuple:
@@ -79,13 +68,13 @@ def phi_expand(f, phi) -> list:
     shift f(x + s) instead, by Horner's rule (von zur Gathen and Gerhard,
     ISSAC 1997).
     """
-    if not phi or phi[-1] != 1 or zdeg(phi) < 1:
+    if not phi or phi[-1] != 1 or pdeg(phi) < 1:
         raise ValueError("phi must be monic of degree >= 1")
     rem = list(ztrim(f))
     n = len(rem)
     if not n:
         return [()]
-    m = zdeg(phi)
+    m = pdeg(phi)
     if m == 1:
         s = -phi[0]
         if s:
@@ -133,16 +122,9 @@ class Side:
         """e * (height of the side above x = i)."""
         return self.y0 * self.e - (i - self.x0) * self.h
 
-    def __str__(self):
-        return (
-            f"({self.x0},{self.y0})->({self.x1},{self.y1}) "
-            f"slope -{self.h}/{self.e} l={self.length} d={self.degree}"
-        )
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    points: tuple  # finite-valuation lattice points (i, v_i)
     vertices: tuple
     sides: tuple
 
@@ -171,8 +153,7 @@ def principal_polygon(points) -> NewtonPolygon:
     points.  Points at infinite valuation must be filtered out by the
     caller (zero coefficients never become hull candidates).
     """
-    pts = sorted(points)
-    hull = _lower_hull(pts)
+    hull = _lower_hull(sorted(points))
     vertices = []
     sides = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
@@ -186,7 +167,7 @@ def principal_polygon(points) -> NewtonPolygon:
         if not vertices:
             vertices.append((x0, y0))
         vertices.append((x1, y1))
-    return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices), sides=tuple(sides))
+    return NewtonPolygon(vertices=tuple(vertices), sides=tuple(sides))
 
 
 def lattice_index(polygon: NewtonPolygon) -> int:
@@ -214,42 +195,32 @@ def residue_field(p: int, phibar):
     phibar is irreducible, being a factor that gf.factor returned (see
     analyze_phi), so the field is built without testing that again.
     """
-    if gf.pdeg(phibar) == 1:
+    if pdeg(phibar) == 1:
         return gf.PrimeField(p)
     return gf.ExtField(p, phibar, _irreducible=True)
 
 
-def _reduce_coeff_poly(field, p, c, v: int):
-    """Image of c(x) / p^v in the residue field (deg c < deg phi)."""
-    ints = [x // p**v for x in c]
-    if isinstance(field, gf.PrimeField):
-        return ints[0] % p if ints else 0
-    return field.from_coeffvec(ints)
+def residual_poly(expansion, vals, field, side: Side) -> tuple:
+    """Residual polynomial of the side: t_d y^d + ... + t_0 over field = F_phi.
 
-
-def residual_poly(expansion, p: int, phi, side: Side):
-    """Residual polynomial of the side: t_d y^d + ... + t_0 over F_phi.
-
-    t_j is the residue of a_{x0+je} / p^(y0-jh) when the lattice point
-    (x0+je, v) lies on the side, and 0 when it lies strictly above.
+    vals are the p-adic valuations of the expansion's coefficients.  t_j is
+    the residue of a_{x0+je} / p^(y0-jh) when the lattice point (x0+je, v)
+    lies on the side, and 0 when it lies strictly above.
     """
-    phibar = gf.reduce_mod_p(phi, p)
-    field = residue_field(p, phibar)
+    p = field.p
     coeffs = []
     for j in range(side.degree + 1):
         i = side.x0 + j * side.e
         target = side.y0 - j * side.h
-        c = expansion[i] if i < len(expansion) else ()
-        v = coeff_val(p, c)
-        if v == target:
-            coeffs.append(_reduce_coeff_poly(field, p, c, target))
-        elif v > target:
+        if vals[i] == target:
+            coeffs.append(field.from_coeffvec([x // p**target for x in expansion[i]]))
+        elif vals[i] > target:
             coeffs.append(field.zero)
         else:  # pragma: no cover - would mean the side is not on the hull
             raise AssertionError("expansion point below its own side")
     if not gf.nonzero(coeffs[0]) or not gf.nonzero(coeffs[-1]):
         raise AssertionError("residual endpoints must be nonzero")
-    return field, tuple(coeffs)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -283,28 +254,28 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     """Expansion, principal polygon, residuals and index for one lift phi.
 
     phi must reduce mod p to an irreducible polynomial, such as a factor
-    that gf.factor returned: the residue fields are built on that trust.
+    that gf.factor returned: its residue field is built once, on that trust.
     """
     exp = phi_expand(F, phi)
     vals = tuple(coeff_val(p, c) for c in exp)
     if vals[0] == INFINITY:
         raise ExactDivisorError("phi divides F exactly; F is reducible")
-    points = [(i, v) for i, v in enumerate(vals) if v != INFINITY]
-    polygon = principal_polygon(points)
+    polygon = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
+    field = residue_field(p, gf.reduce_mod_p(phi, p))
     sides = []
     for side in polygon.sides:
-        field, res = residual_poly(exp, p, phi, side)
+        res = residual_poly(exp, vals, field, side)
         sides.append(
             SideData(side=side, field=field, residual=res,
                      factorization=gf.factor(field, res))
         )
     return PhiAnalysis(
-        phi=ztrim(phi),
+        phi=tuple(phi),
         p=p,
         expansion_vals=vals,
         polygon=polygon,
         sides=tuple(sides),
-        index=zdeg(phi) * lattice_index(polygon),
+        index=pdeg(phi) * lattice_index(polygon),
         regular=all(sd.squarefree for sd in sides),
     )
 
@@ -324,20 +295,15 @@ class NotRegularError(Exception):
 
 
 def _refinement_step(analysis: PhiAnalysis):
-    """(h, root) for a repeated linear residual root on an e=1 side, else None."""
+    """(h, root) for a repeated linear residual root on an e=1 side, else None;
+    root as the integer coefficients of its residue-field element."""
     for sd in analysis.sides:
         if sd.side.e != 1 or sd.squarefree:
             continue
         for psi, mult in sd.factorization.factors:
-            if mult >= 2 and gf.pdeg(psi) == 1:
-                return sd.side.h, sd.field.neg(psi[0])
+            if mult >= 2 and pdeg(psi) == 1:
+                return sd.side.h, sd.field.to_coeffvec(sd.field.neg(psi[0]))
     return None
-
-
-def _lift_element(field, elem) -> tuple:
-    if isinstance(field, gf.PrimeField):
-        return ztrim((elem,))
-    return ztrim(tuple(elem))
 
 
 _REFINE_STEPS = 256  # a defensive cap on the refinement steps of one lift
@@ -359,7 +325,7 @@ def analyze_phi_refined(F, p: int, phi) -> PhiAnalysis:
         if step is None:
             return analysis
         h, root = step
-        shift = ztrim(tuple(c * p**h for c in _lift_element(analysis.sides[0].field, root)))
+        shift = ztrim(tuple(c * p**h for c in root))
         improved = None
         for cand in (zsub(analysis.phi, shift), zsub(analysis.phi, tuple(-c for c in shift))):
             trial = analyze_phi(F, p, cand)
@@ -407,10 +373,6 @@ class OreResult:
     analyses: tuple
 
 
-def lift_poly(phibar) -> tuple:
-    return ztrim(tuple(int(c) for c in phibar))
-
-
 def ore_analyze(F, p: int, overrides=None) -> OreResult:
     """Splitting of p and the Ore index, via one analyzed lift per factor.
 
@@ -418,37 +380,38 @@ def ore_analyze(F, p: int, overrides=None) -> OreResult:
     in [0, p)), p is inert: the splitting is (1, deg F), the index 0, and
     there is no analysis.  overrides maps a factor of F mod p (a gf poly
     tuple) to the integer lift to use for it, analyzed as given; other
-    factors get the naive lift, refined.  Raises NotRegular when some
-    factor stays irregular.
+    factors are their own naive lift, refined.  Raises NotRegular when
+    some factor stays irregular.
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
-    if gf.pdeg(fbar) != zdeg(F):
+    n = pdeg(F)
+    if pdeg(fbar) != n:
         raise ValueError("F must be monic of positive degree")
     fact = gf.factor(field, fbar)
     analyses = []
     pairs = []
     for phibar, _mult in fact.factors:
         override = (overrides or {}).get(phibar)
-        phi = override or lift_poly(phibar)
-        if gf.reduce_mod_p(phi, p) != phibar:
+        if override and gf.reduce_mod_p(override, p) != phibar:
             raise ValueError("override lift does not reduce to its factor")
-        if phi == ztrim(F):  # p is inert
-            return OreResult(splitting=Splitting.of([(1, zdeg(F))]), index=0, analyses=())
+        phi = override or phibar
+        if phi == tuple(F):  # p is inert
+            return OreResult(splitting=Splitting.of([(1, n)]), index=0, analyses=())
         analysis = (analyze_phi if override else analyze_phi_refined)(F, p, phi)
         analyses.append(analysis)
         if not analysis.regular:
             continue
-        m = gf.pdeg(phibar)
+        m = pdeg(phibar)
         for sd in analysis.sides:
             for psi, _one in sd.factorization.factors:
-                pairs.append((sd.side.e, m * gf.pdeg(psi)))
+                pairs.append((sd.side.e, m * pdeg(psi)))
     if any(not a.regular for a in analyses):
         raise NotRegularError(p, analyses)
     splitting = Splitting.of(pairs)
-    if splitting.mass != zdeg(F):
+    if splitting.mass != n:
         raise AssertionError(
-            f"splitting mass {splitting.mass} != deg F = {zdeg(F)}"
+            f"splitting mass {splitting.mass} != deg F = {n}"
         )  # pragma: no cover
     return OreResult(
         splitting=splitting,
@@ -471,7 +434,7 @@ def is_p_regular(F, p: int, phis=None):
     field = gf.PrimeField(p)
     if phis is None:
         fbar = gf.reduce_mod_p(F, p)
-        phis = [lift_poly(phibar) for phibar, _ in gf.factor(field, fbar).factors]
+        phis = [phibar for phibar, _ in gf.factor(field, fbar).factors]
     else:
         for phi in phis:
             if not gf.is_irreducible(field, gf.reduce_mod_p(phi, p)):
@@ -493,14 +456,12 @@ def dedekind_divides(F, p: int) -> bool:
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
-    if gf.pdeg(fbar) != zdeg(F):
+    if pdeg(fbar) != pdeg(F):
         raise ValueError("F must be monic")
     gbar = gf.radical(field, fbar)
     hbar = gf.pdivmod(field, fbar, gbar)[0]
-    g_lift = lift_poly(gbar)
-    h_lift = lift_poly(hbar)
-    diff = zsub(zmul(g_lift, h_lift), ztrim(F))
+    diff = zsub(zmul(gbar, hbar), F)
     assert all(c % p == 0 for c in diff), "g*h must reconstruct F mod p"
     tbar = gf.reduce_mod_p((c // p for c in diff), p)
     g1 = gf.pgcd(field, tbar, gbar)
-    return gf.pdeg(gf.pgcd(field, g1, hbar)) >= 1
+    return pdeg(gf.pgcd(field, g1, hbar)) >= 1

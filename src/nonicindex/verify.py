@@ -149,7 +149,10 @@ CSV_HEADER = ("a", "b", "prime", "nu", "rule", "splitting", "status")
 # certified lifts
 
 
-def certified_lift(a0: int, b0: int, modulus: int, rng: random.Random, span: int = 64):
+LIFT_SPAN = 64  # a lift adds rng.randrange(LIFT_SPAN) multiples of its period
+
+
+def certified_lift(a0: int, b0: int, modulus: int, rng: random.Random):
     """A lift of (a0, b0) mod modulus with a guaranteed Eisenstein certificate.
 
     Uses a CRT side congruence at a prime coprime to the modulus:
@@ -167,8 +170,8 @@ def certified_lift(a0: int, b0: int, modulus: int, rng: random.Random, span: int
     for _ in range(50):
         a = (a0 + modulus * (((ar - a0) * inv) % side_mod)) % big
         b = (b0 + modulus * (((br - b0) * inv) % side_mod)) % big
-        a += big * rng.randrange(span)
-        b += big * rng.randrange(span)
+        a += big * rng.randrange(LIFT_SPAN)
+        b += big * rng.randrange(LIFT_SPAN)
         if is_normalized(a, b):
             return a, b
     raise AssertionError("could not draw a normalized lift")  # pragma: no cover

@@ -5,7 +5,8 @@ renamed or moved function would make a traced benchmark run crash, or stop
 recording a layer, so this test reads spans.py (without writing anything
 under perfbench/) and checks that every name resolves, that install() and
 uninstall() leave the program as they found it, and that a classify call
-records the factorer's span through the name nonic calls it by.
+records the factorer's span through the name nonic calls it by, and the
+engine's analyze_phi and residue-field spans.
 """
 
 import importlib
@@ -69,4 +70,7 @@ def test_install_then_uninstall_restores_the_program(spans, program):
     totals = tracer.totals()
     assert totals["nonic.classify"]["calls"] == 1
     assert totals["nonic.bounded_factor"]["calls"] >= 1
+    # the engine runs through the names behind the per-layer metrics
+    assert totals["polygon.analyze_phi"]["calls"] == 2
+    assert totals["gf.ExtField"]["calls"] == 1
     assert tracer.counts["arith.is_prime.calls"] >= 1

@@ -40,6 +40,14 @@ def test_classify_single_prime_filter(capsys):
     env = json.loads(out)
     assert list(env["result"]["primes"]) == ["3"]
     assert env["result"]["primes"]["3"]["nu"]["value"] == 0
+    # a prime >= 5 that does not divide the discriminant has no entry of its own
+    code, out, _ = run(capsys, "classify", "--a", "51", "--b", "122",
+                       "--prime", "11", "--json")
+    assert code == EXIT_OK
+    entry = json.loads(out)["result"]["primes"]["11"]
+    assert entry["rule"] == "11:ge5"
+    assert entry["nu"] == {"kind": "exact", "value": 0}
+    assert entry["splitting"] is None
 
 
 def test_classify_reducible_exit_code(capsys):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from nonicindex import arith
+from nonicindex import arith, nonic
 from nonicindex.arith import bounded_factor
 from nonicindex.nonic import _disc_prime_to_6, classify
 
@@ -152,17 +152,25 @@ def test_trial_division_reaches_the_largest_sieved_prime():
 
 
 @pytest.mark.parametrize("a, b", [(707, 549), (203, 993), (80, 31), (-82, 22), (-75080, -30531)])
-def test_hard_discriminants_factor_completely(a, b):
+def test_hard_discriminants_factor_completely(a, b, monkeypatch):
     # past rho, ECM's work: cofactors of 33 and 34 digits with a 14-digit
     # prime, two of the benchmark pool's with a 10-digit prime, and a
-    # 44-digit one with a 17-digit prime
+    # 44-digit one with a 17-digit prime; classify's own call is checked,
+    # so the discriminant is factored once
+    calls = {}
+
+    def recorded(m):
+        calls[m] = result = bounded_factor(m)
+        return result
+
+    monkeypatch.setattr(nonic, "bounded_factor", recorded)
+    assert classify(a, b).monogenic_order is not None
     n = _disc_prime_to_6(a, b)
-    factors, leftover = bounded_factor(n)
+    factors, leftover = calls[n]
     assert leftover == 1
     # by unique factorization, the same proof as factors == factorint(n)
     assert all(isprime(p) and e >= 1 for p, e in factors.items())
     assert prod(p**e for p, e in factors.items()) == n
-    assert classify(a, b).monogenic_order is not None
 
 
 def test_ecm_runs_within_the_budget_on_a_large_cofactor(monkeypatch):

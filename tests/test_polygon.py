@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nonicindex import gf
 from nonicindex.arith import INFINITY, val
+from nonicindex.gf import ztrim
 from nonicindex.nonic import disc
 from nonicindex.polygon import (
     NotRegularError,
@@ -24,7 +25,6 @@ from nonicindex.polygon import (
     trinomial,
     zmul,
     zsub,
-    ztrim,
 )
 
 
@@ -151,7 +151,8 @@ def test_residual_examples():
     F = trinomial(16, 8)
     exp = phi_expand(F, (0, 1))
     an = analyze_phi(F, 2, (0, 1))
-    field, res = residual_poly(exp, 2, (0, 1), an.polygon.sides[0])
+    field = residue_field(2, (0, 1))
+    res = residual_poly(exp, an.expansion_vals, field, an.polygon.sides[0])
     assert res == (1, 0, 0, 1)
     fact = gf.factor(field, res)
     assert dict(fact.factors) == {(1, 1): 1, (1, 1, 1): 1}

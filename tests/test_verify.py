@@ -97,6 +97,9 @@ def test_check_tables():
 def test_run_suite_dispatch():
     assert run_suite("examples").suite == "examples"
     assert run_suite("dedekind", prime=2, modulus=4, lifts=1).suite == "dedekind"
+    # the default modulus of each prime
+    assert run_suite("dedekind", prime=3, lifts=1).modulus == 9
+    assert run_suite("agreement", prime=5).modulus == 5
     with pytest.raises(ValueError):
         run_suite("nope")
 
