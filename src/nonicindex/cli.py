@@ -115,7 +115,7 @@ def _cmd_polygon(args) -> int:
     field = gf.PrimeField(args.p)
     fbar = gf.reduce_mod_p(F, args.p)
     phibar = gf.reduce_mod_p(phi, args.p)
-    if gf.pdeg(phibar) < 1 or gf.ptrim(gf.pmod(field, fbar, phibar)):
+    if gf.pdeg(phibar) < 1 or gf.pmod(field, fbar, phibar):
         print(
             f"phi = {args.phi} does not reduce to a factor of F mod {args.p}",
             file=sys.stderr,

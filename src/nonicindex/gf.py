@@ -5,14 +5,15 @@ trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
 ints.  Over F_p (F.degree == 1), pmul and pdivmod work on plain ints,
 reducing mod p once per coefficient, and go through the field's add/mul
-only over extensions; pgcd and ppowmod are built on them, and
-distinct_degree takes each next Frobenius power as one product with a
-matrix built once per polynomial.  Everything is deterministic: factor()
-uses squarefree splitting, then distinct-degree splitting, then
-equal-degree splitting by exhaustive search over monic candidates, which
-is fine for the operating envelope (degree <= 9, q <= 343).
-is_irreducible is the same squarefree test followed by one
-distinct-degree pass.
+only over extensions; pmod is a remainder-only loop on plain ints that
+never builds a quotient.  pgcd, ppowmod and ExtField.mul are built on
+them, and distinct_degree takes each next Frobenius power as one product
+with a matrix built once per polynomial.  Everything is deterministic:
+factor() returns a linear input as it is, and otherwise uses squarefree
+splitting, then distinct-degree splitting, then equal-degree splitting by
+exhaustive search over monic candidates, which is fine for the operating
+envelope (degree <= 9, q <= 343).  is_irreducible is the same squarefree
+test followed by one distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime
+from .arith import _SMALL_PRIME_SET, is_prime
 
 
 class PrimeField:
@@ -30,7 +31,7 @@ class PrimeField:
     __slots__ = ("p", "q", "degree", "zero", "one")
 
     def __init__(self, p: int):
-        if not is_prime(p):
+        if p not in _SMALL_PRIME_SET and not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.q = p
@@ -287,7 +288,33 @@ def _pdivmod_ints(p: int, f, g) -> tuple:
 
 
 def pmod(F, f, g) -> tuple:
+    if F.degree == 1:
+        return _pmod_ints(F.p, f, g)
     return pdivmod(F, f, g)[1]
+
+
+def _pmod_ints(p: int, f, g) -> tuple:
+    """The remainder of _pdivmod_ints, with no quotient built."""
+    m = len(g)
+    while m and not g[m - 1]:
+        m -= 1
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(f) < m:
+        rem = [c % p for c in f]
+    else:
+        lead_inv = pow(g[m - 1], -1, p)
+        low = tuple(enumerate(g[: m - 1]))
+        rem = list(f)
+        for i in range(len(rem) - m, -1, -1):
+            c = rem[i + m - 1] * lead_inv % p
+            if c:
+                for j, y in low:
+                    rem[i + j] -= c * y
+        rem = [c % p for c in rem[: m - 1]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(rem)
 
 
 def pmonic(F, f) -> tuple:
@@ -490,6 +517,8 @@ def factor(F, f) -> Factorization:
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     unit, monic = pmonic(F, f)
+    if len(monic) == 2:
+        return Factorization(unit, ((monic, 1),))
     # collect the set of irreducible factors, then read off multiplicities
     irreducibles = set()
     for squarefree in _squarefree_parts(F, monic):

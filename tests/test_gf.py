@@ -28,6 +28,8 @@ from nonicindex.gf import (
     pdeg,
     pdivmod,
     pgcd,
+    pmod,
+    pmonic,
     pmul,
     ppowmod,
     ptrim,
@@ -139,6 +141,52 @@ def test_factors_irreducible_by_trial_division(field):
                     assert not _divides(field, g, cand), (poly, g, cand)
 
 
+LINEAR_FIELDS = [F5, ExtField(2, (1, 1, 0, 1)), ExtField(3, (1, 0, 1)), ExtField(3, (2, 0, 0, 2, 1))]
+
+
+def _generic_factor(field, f):
+    """factor()'s pipeline for inputs of any degree: squarefree, then
+    distinct-degree, then equal-degree splitting, then the multiplicity loop."""
+    unit, monic = pmonic(field, f)
+    irreducibles = set()
+    for squarefree in gf._squarefree_parts(field, monic):
+        for part, d in distinct_degree(field, squarefree):
+            irreducibles.update(gf._equal_degree_exhaustive(field, part, d))
+    found = []
+    for psi in sorted(irreducibles, key=lambda c: (len(c), c)):
+        mult = 0
+        while _divides(field, monic, psi):
+            monic = pdivmod(field, monic, psi)[0]
+            mult += 1
+        found.append((psi, mult))
+    return gf.Factorization(unit, tuple(found))
+
+
+@pytest.mark.parametrize("field", LINEAR_FIELDS, ids=["F5", "F8", "F9", "F81"])
+def test_factor_of_a_linear_polynomial_matches_the_generic_path(field):
+    rng = random.Random(field.q)
+    elements = list(field.elements())
+    for _ in range(40):
+        f = (rng.choice(elements), rng.choice([e for e in elements if e != field.zero]))
+        fact = factor(field, f)
+        assert fact == _generic_factor(field, f)
+        assert fact.expand(field) == f
+
+
+def test_factor_returns_a_linear_polynomial_without_splitting(monkeypatch):
+    def no_split(F, f):
+        raise RuntimeError("squarefree splitting reached")
+
+    monkeypatch.setattr(gf, "_squarefree_parts", no_split)
+    factor.cache_clear()
+    for field in LINEAR_FIELDS:
+        f = (field.one, field.one)
+        assert factor(field, f).factors == ((f, 1),)
+    with pytest.raises(RuntimeError):
+        factor(F5, (1, 0, 1))
+    factor.cache_clear()
+
+
 def test_ext_field_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         ExtField(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
@@ -196,9 +244,14 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
     assert pmul(field, f, g) == _from_sympy(gf_mul(_to_sympy(f), _to_sympy(g), p, ZZ), p)
     assert pgcd(field, f, g) == _from_sympy(gf_gcd(_to_sympy(f), _to_sympy(g), p, ZZ), p)
     if not g:
+        for zero in (g, (0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                pmod(field, f, zero)
         return
     quo, rem = gf_div(_to_sympy(f), _to_sympy(g), p, ZZ)
     assert pdivmod(field, f, g) == (_from_sympy(quo, p), _from_sympy(rem, p))
+    assert pmod(field, f, g) == _from_sympy(rem, p)
+    assert pmod(field, f + (0, 0), g + (0,)) == _from_sympy(rem, p)  # untrimmed
     expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
     assert ppowmod(field, f, n, g) == _from_sympy(expected, p)
 
