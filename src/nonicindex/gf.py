@@ -11,9 +11,13 @@ them, and distinct_degree takes each next Frobenius power as one product
 with a matrix built once per polynomial.  Everything is deterministic:
 factor() returns a linear input as it is, and otherwise uses squarefree
 splitting, then distinct-degree splitting, then equal-degree splitting by
-exhaustive search over monic candidates, which is fine for the operating
-envelope (degree <= 9, q <= 343).  is_irreducible is the same squarefree
-test followed by one distinct-degree pass.
+exhaustive search over the q^d monic candidates of the factor degree d.
+That is fine for the operating envelope: F mod p has degree 9, and a
+residual polynomial over F_q = F_p[x]/(phi) has degree at most
+9 / deg(phi), so the search tries at most p^4 candidates, 2,401 at p = 7,
+although the p = 7 sweep builds fields up to F_(7^9), where residual
+polynomials are linear.  is_irreducible is the same squarefree test
+followed by one distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -25,10 +29,33 @@ from functools import lru_cache
 from .arith import _SMALL_PRIME_SET, is_prime
 
 
+def ztrim(c) -> tuple:
+    """A sequence of ints, such as an integer or F_p polynomial, without
+    its trailing zeros."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def ptrim(c) -> tuple:
+    """A polynomial over any field without its trailing zeros."""
+    c = tuple(c)
+    n = len(c)
+    while n and not nonzero(c[n - 1]):
+        n -= 1
+    return c[:n]
+
+
+def nonzero(e) -> bool:
+    return any(e) if isinstance(e, tuple) else bool(e)
+
+
 class PrimeField:
     """F_p with elements represented as ints in [0, p)."""
 
     __slots__ = ("p", "q", "degree", "zero", "one")
+    trim = staticmethod(ztrim)  # elements are ints: no per-coefficient type test
 
     def __init__(self, p: int):
         if p not in _SMALL_PRIME_SET and not is_prime(p):
@@ -91,10 +118,11 @@ class ExtField:
     """
 
     __slots__ = ("p", "modulus", "degree", "q", "zero", "one", "_base")
+    trim = staticmethod(ptrim)
 
     def __init__(self, p: int, modulus: tuple, *, _irreducible: bool = False):
         base = PrimeField(p)
-        modulus = ptrim(modulus)
+        modulus = ztrim(modulus)
         d = len(modulus) - 1
         if d < 2:
             raise ValueError("extension modulus must have degree >= 2")
@@ -133,7 +161,7 @@ class ExtField:
             raise ZeroDivisionError("inverse of zero")
         # extended Euclid in F_p[x] against the modulus
         F = self._base
-        r0, r1 = self.modulus, ptrim(a)
+        r0, r1 = self.modulus, ztrim(a)
         s0, s1 = (), (F.one,)
         while pdeg(r1) > 0:
             quo, rem = pdivmod(F, r0, r1)
@@ -192,18 +220,6 @@ def _elem_pow(F, a, n: int):
 # polynomial arithmetic over a field
 
 
-def ptrim(c) -> tuple:
-    c = tuple(c)
-    n = len(c)
-    while n and not nonzero(c[n - 1]):
-        n -= 1
-    return c[:n]
-
-
-def nonzero(e) -> bool:
-    return any(e) if isinstance(e, tuple) else bool(e)
-
-
 def pdeg(c) -> int:
     return len(c) - 1
 
@@ -212,20 +228,11 @@ def psub(F, f, g) -> tuple:
     out = list(f) + [F.zero] * max(0, len(g) - len(f))
     for i, e in enumerate(g):
         out[i] = F.sub(out[i], e)
-    return ptrim(out)
+    return F.trim(out)
 
 
 def pscale(F, f, e) -> tuple:
-    return ptrim(tuple(F.mul(c, e) for c in f))
-
-
-def ztrim(c) -> tuple:
-    """A sequence of ints, such as an integer or F_p polynomial, without
-    its trailing zeros."""
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return tuple(c[:n])
+    return F.trim(tuple(F.mul(c, e) for c in f))
 
 
 def pmul(F, f, g) -> tuple:
@@ -319,15 +326,16 @@ def _pmod_ints(p: int, f, g) -> tuple:
 
 def pmonic(F, f) -> tuple:
     """Split f as (leading unit, monic polynomial)."""
-    f = ptrim(f)
+    f = F.trim(f)
     if not f:
         raise ValueError("zero polynomial has no monic part")
     lead = f[-1]
-    return lead, pscale(F, f, F.inv(lead))
+    inv = F.inv(lead)
+    return lead, tuple(F.mul(c, inv) for c in f)  # a unit multiple of a trimmed f is trimmed
 
 
 def pgcd(F, f, g) -> tuple:
-    f, g = ptrim(f), ptrim(g)
+    f, g = F.trim(f), F.trim(g)
     while g:
         f, g = g, pmod(F, f, g)
     if not f:
@@ -347,7 +355,7 @@ def ppowmod(F, f, n: int, mod) -> tuple:
 
 
 def pderiv(F, f) -> tuple:
-    return ptrim(
+    return F.trim(
         tuple(F.mul(f[i], F.from_int(i)) for i in range(1, len(f)))
     )
 
@@ -369,7 +377,7 @@ def is_irreducible(F, f) -> bool:
     pass leaves a single part, of degree deg f: every factor of a reducible
     squarefree f of degree n shows up by degree n // 2.
     """
-    f = ptrim(f)
+    f = F.trim(f)
     n = pdeg(f)
     if n <= 0:
         return False
@@ -397,7 +405,7 @@ def _prime_divisors(n: int):
 def _pth_root_poly(F, f) -> tuple:
     """For f with zero derivative, the g with g(x)^p = f(x)."""
     p = F.p
-    return ptrim(tuple(F.pth_root(f[i]) for i in range(0, len(f), p)))
+    return F.trim(tuple(F.pth_root(f[i]) for i in range(0, len(f), p)))
 
 
 def _squarefree_parts(F, f):
@@ -498,13 +506,6 @@ class Factorization:
     unit: object
     factors: tuple  # ((monic irreducible poly, multiplicity), ...) sorted
 
-    def expand(self, F) -> tuple:
-        acc = (self.unit,)
-        for poly, mult in self.factors:
-            for _ in range(mult):
-                acc = pmul(F, acc, poly)
-        return ptrim(acc)
-
 
 @lru_cache(maxsize=1 << 16)
 def factor(F, f) -> Factorization:
@@ -513,7 +514,7 @@ def factor(F, f) -> Factorization:
     Cached: fields and coefficient tuples are immutable and hashable, and
     the sweeps ask for the same small reductions over and over.
     """
-    f = ptrim(f)
+    f = F.trim(f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     unit, monic = pmonic(F, f)
@@ -546,7 +547,7 @@ def radical(F, f) -> tuple:
     Needs no factorization (gcd arithmetic only), so it works over F_p for
     any p, including primes far outside the factoring envelope.
     """
-    f = ptrim(f)
+    f = F.trim(f)
     if not f:
         raise ValueError("zero polynomial has no radical")
     rad = (F.one,)

@@ -3,9 +3,12 @@
 For each prime p this decides whether p divides the field index i(K),
 gives the exact valuation nu_p(i(K)) where it is determined, and the
 splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
-ever does.  First-order-resolvable branches run through the polygon
-engine (with the critical shift u = -9b/(8a) where a repeated root needs
-it); the branches that genuinely require higher-order data are encoded as
+ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
+3 not dividing a), Dedekind's theorem settles p: it is unramified, and
+pZ_K splits like F mod p, whose factor degrees gf.factor gives.  The
+other first-order-resolvable branches run through the polygon engine
+(with the critical shift u = -9b/(8a) where a repeated root needs it);
+the branches that genuinely require higher-order data are encoded as
 congruence tables keyed on (a, b) residues plus nu_2(Delta) and
 Delta_2 mod 8.  Every exact valuation is produced by the Engstrom lookup
 on the splitting type, so values have a single source of truth.
@@ -55,6 +58,24 @@ class IndeterminateFactorization(ClassifierError):
     """An integer did not factor within the effort bound; refusing to guess."""
 
 
+_SHOWN_DIGITS = 2000  # a message prints an integer of more digits in short
+_LEAD_DIGITS = 20
+
+
+def _show(n: int) -> str:
+    """n in decimal for a message.  Past _SHOWN_DIGITS digits, its leading
+    digits and its digit count: str() refuses an int of more than 4300
+    digits, and the discriminant has about nine times the input's digits."""
+    m = abs(n)
+    if m < 10**_SHOWN_DIGITS:
+        return str(n)
+    digits = int(m.bit_length() * 0.30102999566398120) + 1  # log10(2); at most 1 too many
+    while m < 10 ** (digits - 1):
+        digits -= 1
+    lead = m // 10 ** (digits - _LEAD_DIGITS)
+    return f"{'-' if n < 0 else ''}{lead}... ({digits} digits)"
+
+
 # ---------------------------------------------------------------------------
 # discriminant and normalization
 
@@ -85,7 +106,7 @@ def is_normalized(a: int, b: int) -> bool:
         return False
     leftover = gcd_factored[1] if gcd_factored else 1
     if leftover >= TRIAL_LIMIT**8:
-        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {leftover}")
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {_show(leftover)}")
     return True
 
 
@@ -172,8 +193,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     verdicts: a single factor of degree 9 means F is irreducible mod p.
     At p = 2 and 3 they are read from gf.factor: the certificate visits 2
     only when b is odd and 3 only when 3 does not divide a, which is when
-    nu2 and nu3 factor the same reduction (through ore_analyze), so the
-    one factorization serves both from gf.factor's cache.  At each other
+    nu2 and nu3 read the unramified splitting off the same factor degrees,
+    so the one factorization serves both from gf.factor's cache.  At each other
     p <= 100 they come from one distinct-degree pass, whose Frobenius
     powers x^(p^d) mod F are products with one Frobenius matrix per prime.
 
@@ -187,12 +208,13 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
     root = _smallest_integer_root(a, b)
     if root is not None:
-        return Certificate.REDUCIBLE, f"integer root x = {root}"
+        return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
     if a == 0:
         # Capelli: x^9 + b is reducible exactly when b = c^3, with factor x^3 + c
         c = _iroot(abs(b), 3)
         if c**3 == abs(b):
-            return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {'+' if b > 0 else '-'} {c}"
+            sign = "+" if b > 0 else "-"
+            return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
     F = trinomial(a, b)
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):
@@ -208,7 +230,7 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         field_p = gf.PrimeField(p)
         fbar = gf.reduce_mod_p(F, p)
         if p <= 3:
-            # nu2 / nu3 factor this same reduction through ore_analyze
+            # nu2 / nu3 read the splitting off this same factorization
             degrees = [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
         else:
             degrees = [d for part, d in gf.distinct_degree(field_p, fbar)
@@ -265,10 +287,10 @@ def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
         while g % p == 0:
             g //= p
     if g > 1:
-        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {g}")
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {_show(g)}")
     for p in primes:
         if val(p, b) != 1:
-            return f"p={p} divides a and b with nu_p(b) != 1"
+            return f"p={_show(p)} divides a and b with nu_p(b) != 1"
     if a % 2 and b % 2 == 0:
         if (a % 4, b % 4) not in _MOD4_MAXIMAL:
             return f"(a,b) = ({a % 4},{b % 4}) mod 4"
@@ -293,8 +315,8 @@ def _square_failure(a: int, b: int, factored: tuple) -> str | None:
             leftover //= shared
     p = next((p for p in sorted(dfac) if dfac[p] >= 2 and (ab == 0 or ab % p)), None)
     if leftover != 1 and (p is None or p > TRIAL_LIMIT):
-        raise IndeterminateFactorization(f"disc has an unfactored part {leftover}")
-    return None if p is None else f"nu_{p}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
+        raise IndeterminateFactorization(f"disc has an unfactored part {_show(leftover)}")
+    return None if p is None else f"nu_{_show(p)}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +411,7 @@ def _table_entry(a, b, table, tag):
                 )
             rule = f"2:{tag}:{cell[0]},{cell[1]}m{modulus}"
             return PrimeEntry(2, nu_lookup(splitting, 2), splitting, rule, warnings)
-    raise Unclassified(f"no {tag} row matches ({a}, {b})")
+    raise Unclassified(f"no {tag} row matches ({_show(a)}, {_show(b)})")
 
 
 def critical_shift(a: int, b: int, p: int, precision: int) -> int:
@@ -407,16 +429,42 @@ def engine_split(a: int, b: int, p: int):
     return ore_analyze(trinomial(a, b), p)
 
 
+def _unramified_split(F, p: int) -> Splitting:
+    """The splitting of a prime p that does not divide disc(F).
+
+    F mod p is squarefree, so by Dedekind's theorem p is unramified,
+    Z[alpha] is p-maximal and pZ_K splits like F mod p: one prime (1, deg psi)
+    per irreducible factor psi.  This is what ore_analyze finds, each naive
+    lift having a one-sided polygon of length 1, without the polygons.  Like
+    it, raises ExactDivisorError when a naive lift psi other than F itself
+    (p inert) divides F over Z.
+    """
+    pairs = []
+    for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
+        m = gf.pdeg(psi)
+        if psi != F:
+            rem = list(F)  # F mod psi over Z (psi is monic), one division of phi_expand's many
+            for i in range(len(rem) - 1, m - 1, -1):
+                if c := rem[i]:
+                    for j in range(m):
+                        rem[i - m + j] -= c * psi[j]
+            if not any(rem[:m]):
+                raise ExactDivisorError("phi divides F exactly; F is reducible")
+        pairs.append((1, m))
+    return Splitting.of(pairs)
+
+
 def nu2(a: int, b: int) -> PrimeEntry:
     """nu_2(i(K)), splitting of 2Z_K and the matched rule.
 
-    Input must be normalized and irreducible.
+    Input must be normalized and irreducible.  For b odd, 2 does not divide
+    disc(a, b), and the splitting is read off the factor degrees of F mod 2.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if b % 2:
-        split = ore_analyze(F, 2).splitting
+        split = _unramified_split(F, 2)
         return PrimeEntry(2, nu_lookup(split, 2), split, "2:unit-b")
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
@@ -489,13 +537,15 @@ _NU3_DEEP_SHAPES = {
 def nu3(a: int, b: int) -> PrimeEntry:
     """nu_3(i(K)), splitting of 3Z_K and the matched rule.
 
-    Input must be normalized and irreducible.
+    Input must be normalized and irreducible.  For 3 not dividing a, 3 does
+    not divide disc(a, b), and the splitting is read off the factor degrees
+    of F mod 3.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if a % 3:
-        split = ore_analyze(F, 3).splitting
+        split = _unramified_split(F, 3)
         return PrimeEntry(3, nu_lookup(split, 3), split, "3:unit-a")
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
@@ -643,10 +693,10 @@ def classify(a: int, b: int) -> ClassifierReport:
     warnings = []
     (a, b), gcd_factored = _normalize(a, b)
     if (a, b) != (a_in, b_in):
-        warnings.append(f"input normalized to (a, b) = ({a}, {b})")
+        warnings.append(f"input normalized to (a, b) = ({_show(a)}, {_show(b)})")
     if gcd_factored and gcd_factored[1] >= TRIAL_LIMIT**8:
         warnings.append("normalization undecided: gcd(a,b) has an unfactored part "
-                        f"{gcd_factored[1]}")
+                        f"{_show(gcd_factored[1])}")
     cert, cert_detail = irreducibility_certificate(a, b)
     if cert is Certificate.REDUCIBLE:
         raise ReduciblePolynomial(cert_detail)
@@ -670,7 +720,7 @@ def classify(a: int, b: int) -> ClassifierReport:
         entries[p] = PrimeEntry(p, IndexValuation.exact(0), split, f"{p}:ge5")
     if leftover != 1:
         warnings.append(
-            f"disc has an unfactored part ({leftover}); primes >= 5 dividing "
+            f"disc has an unfactored part ({_show(leftover)}); primes >= 5 dividing "
             "it are omitted from the report (their nu is 0 regardless)"
         )
     try:

@@ -128,10 +128,6 @@ class NewtonPolygon:
     vertices: tuple
     sides: tuple
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.sides
-
 
 def _lower_hull(points):
     hull = []

@@ -1,9 +1,8 @@
 """Independent oracles and desk-scale sweeps validating the classifier.
 
-Everything here recomputes from first principles: the discriminant via a
-Sylvester resultant, index divisibility via Dedekind's criterion, and
-splittings via the polygon engine, compared against the congruence
-classifier over whole residue-class grids.  Lifts are drawn from a seeded
+Everything here recomputes from first principles: index divisibility via
+Dedekind's criterion, and splittings via the polygon engine, compared
+against the congruence classifier over whole residue-class grids.  Lifts are drawn from a seeded
 generator with a CRT side-congruence that forces an Eisenstein
 irreducibility certificate, so runs are reproducible and never test a
 reducible polynomial.
@@ -31,58 +30,6 @@ from .nonic import (
     _TABLE_A6,
 )
 from .polygon import NotRegularError, dedekind_divides, trinomial
-
-
-# ---------------------------------------------------------------------------
-# discriminant oracle
-
-
-def _bareiss_det(rows) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def sylvester_matrix(f, g) -> list:
-    """Sylvester matrix of f, g given as low-first coefficient tuples."""
-    mdeg, ndeg = len(f) - 1, len(g) - 1
-    size = mdeg + ndeg
-    rows = []
-    frev = list(reversed(f))
-    grev = list(reversed(g))
-    for i in range(ndeg):
-        rows.append([0] * i + frev + [0] * (size - i - len(frev)))
-    for i in range(mdeg):
-        rows.append([0] * i + grev + [0] * (size - i - len(grev)))
-    return rows
-
-
-def disc_resultant(a: int, b: int) -> int:
-    """Discriminant of x^9 + ax + b via Res(F, F'), fraction-free.
-
-    For a monic degree-9 polynomial the sign factor (-1)^(9*8/2) is +1,
-    so this is exactly the Sylvester determinant.
-    """
-    f = trinomial(a, b)
-    fprime = (a, 0, 0, 0, 0, 0, 0, 0, 9)
-    return _bareiss_det(sylvester_matrix(f, fprime))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +198,10 @@ def sweep_agreement(
     Wherever the engine certifies a regular splitting, the classifier's
     divisibility verdict must equal the Engstrom test on that splitting,
     and the classifier's claimed splitting (when it states one) must match
-    it.  NotRegular lifts are counted as skipped.  For p in {5, 7} the
+    it.  On p = 2 cells with b odd (and p = 3 cells with 3 not dividing a)
+    the classifier reads its splitting off the degrees of F mod p, not from
+    the engine, so there the check compares two independent computations.
+    NotRegular lifts are counted as skipped.  For p in {5, 7} the
     check is the residue-degree bound: no f ever has more primes than
     monic irreducibles, so nu_p = 0.
     """

@@ -1,0 +1,65 @@
+"""Reference computations that only the tests use.
+
+The discriminant of x^9 + ax + b as a Sylvester resultant, an oracle for
+the closed form nonic.disc, and the product a gf.Factorization stands for.
+"""
+
+from nonicindex.gf import pmul, ptrim
+from nonicindex.polygon import trinomial
+
+
+def _bareiss_det(rows) -> int:
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_matrix(f, g) -> list:
+    """Sylvester matrix of f, g given as low-first coefficient tuples."""
+    mdeg, ndeg = len(f) - 1, len(g) - 1
+    size = mdeg + ndeg
+    rows = []
+    frev = list(reversed(f))
+    grev = list(reversed(g))
+    for i in range(ndeg):
+        rows.append([0] * i + frev + [0] * (size - i - len(frev)))
+    for i in range(mdeg):
+        rows.append([0] * i + grev + [0] * (size - i - len(grev)))
+    return rows
+
+
+def disc_resultant(a: int, b: int) -> int:
+    """Discriminant of x^9 + ax + b via Res(F, F'), fraction-free.
+
+    For a monic degree-9 polynomial the sign factor (-1)^(9*8/2) is +1,
+    so this is exactly the Sylvester determinant.
+    """
+    f = trinomial(a, b)
+    fprime = (a, 0, 0, 0, 0, 0, 0, 0, 9)
+    return _bareiss_det(sylvester_matrix(f, fprime))
+
+
+def expand(F, fact) -> tuple:
+    """unit * prod(poly^mult) of a gf.Factorization, over the field F."""
+    acc = (fact.unit,)
+    for poly, mult in fact.factors:
+        for _ in range(mult):
+            acc = pmul(F, acc, poly)
+    return ptrim(acc)

@@ -13,10 +13,10 @@ from nonicindex.nonic import classify, delta_unit, disc, engine_split, nu2, nu3
 from nonicindex.polygon import NotRegularError, Splitting, ore_analyze, trinomial
 from nonicindex.verify import (
     check_examples,
-    disc_resultant,
     sweep_agreement,
     sweep_dedekind,
 )
+from reference import disc_resultant
 
 
 def _report(name, ok, detail=""):

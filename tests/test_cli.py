@@ -4,6 +4,7 @@ import json
 import pytest
 
 from nonicindex.cli import EXIT_MISMATCH, EXIT_OK, EXIT_REDUCIBLE, main
+from nonicindex.nonic import classify
 
 
 def run(capsys, *argv):
@@ -48,6 +49,19 @@ def test_classify_single_prime_filter(capsys):
     assert entry["rule"] == "11:ge5"
     assert entry["nu"] == {"kind": "exact", "value": 0}
     assert entry["splitting"] is None
+
+
+def test_classify_reports_past_the_integer_string_limit(capsys):
+    # disc(a, b) has 4,323 digits and stays unfactored: past str()'s limit of
+    # 4,300 digits, the warning names it by leading digits and digit count
+    a, b = 10**480 + 7, 3 * 10**480 + 1
+    report = classify(a, b)
+    assert "disc has an unfactored part (30394057863367089983... (4323 digits)); " \
+        "primes >= 5 dividing it are omitted from the report (their nu is 0 regardless)" \
+        in report.warnings
+    code, out, _ = run(capsys, "classify", "--a", str(a), "--b", str(b), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["warnings"] == report.warnings
 
 
 def test_classify_reducible_exit_code(capsys):

@@ -44,6 +44,7 @@ from nonicindex.nonic import (
     irreducibility_certificate,
 )
 from nonicindex.polygon import trinomial
+from reference import expand
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -112,7 +113,7 @@ def test_factor_reconstruction_random():
         field = fields[rng.choice((2, 3, 5, 7))]
         poly = _random_poly(rng, field, 9)
         fact = factor(field, poly)
-        assert fact.expand(field) == poly
+        assert expand(field, fact) == poly
         # degree additivity
         assert sum(m * pdeg(g) for g, m in fact.factors) == pdeg(poly)
 
@@ -134,7 +135,7 @@ def test_factors_irreducible_by_trial_division(field):
         if pdeg(poly) < 1:
             continue
         fact = factor(field, poly)
-        assert fact.expand(field) == poly
+        assert expand(field, fact) == poly
         for g, _m in fact.factors:
             for d in range(1, pdeg(g) // 2 + 1):
                 for cand in enumerate_monic(field, d):
@@ -170,7 +171,7 @@ def test_factor_of_a_linear_polynomial_matches_the_generic_path(field):
         f = (rng.choice(elements), rng.choice([e for e in elements if e != field.zero]))
         fact = factor(field, f)
         assert fact == _generic_factor(field, f)
-        assert fact.expand(field) == f
+        assert expand(field, fact) == f
 
 
 def test_factor_returns_a_linear_polynomial_without_splitting(monkeypatch):

@@ -22,12 +22,14 @@ from nonicindex.nonic import (
     IndeterminateFactorization,
     _iroot,
     classify,
+    disc,
     irreducibility_certificate,
     is_normalized,
     normalize,
     nu2,
     nu3,
 )
+from nonicindex.polygon import ExactDivisorError, ore_analyze, trinomial
 
 
 def _scanned_root(a, b):
@@ -45,7 +47,12 @@ def _assert_matches_scan(a, b):
         assert (cert, detail) == (Certificate.REDUCIBLE, "x divides x^9 + ax")
         return
     root = _scanned_root(a, b)
-    if root is None:
+    c = _iroot(abs(b), 3)
+    if root is None and a == 0 and c**3 == abs(b):
+        # Capelli: x^9 + c^3 has the factor x^3 + c, and no integer root unless c is a cube
+        assert (cert, detail) == (
+            Certificate.REDUCIBLE, f"b is a cube: factor x^3 {'+' if b > 0 else '-'} {c}")
+    elif root is None:
         assert cert is not Certificate.REDUCIBLE, (a, b, detail)
     else:
         assert (cert, detail) == (Certificate.REDUCIBLE, f"integer root x = {root}")
@@ -118,6 +125,49 @@ def test_certificate_shares_factorizations_with_nu2_nu3(a, b):
     assert gf.factor.cache_info().misses == 2
     nu2(a, b), nu3(a, b)
     assert gf.factor.cache_info().misses == alone
+
+
+def _splitting_or_error(split, *args):
+    try:
+        return split(*args).splitting
+    except ExactDivisorError:
+        return ExactDivisorError
+
+
+# integers of 1-60 digits
+DIGITS_1_60 = st.integers(1, 60).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIGITS_1_60, DIGITS_1_60, st.sampled_from((1, 1, 1, 2, 3, 5, 7)))
+@example(17, 6, 1)  # reducible: a naive lift of a factor of F mod 3 divides F
+@example(17, -6, 1)
+@example(-34, 21, 1)
+@example(-34, -21, 1)
+@example(-76, 96, 1)
+@example(-76, -96, 1)
+@example(1, 1, 1)  # reducible: x^2 + x + 1 divides F, and F mod 2 has that factor
+def test_unramified_splitting_matches_the_engine(a0, b0, scale):
+    # b odd or 3 not dividing a: p in {2, 3} does not divide disc(a, b), and
+    # nu2 or nu3 reads the splitting off the degrees of F mod p.  The polygon
+    # engine must give the same splitting, or raise the same error.
+    a, b = a0 * scale**8, b0 * scale**9
+    if b % 2:
+        assert disc(a, b) % 2
+        assert _splitting_or_error(nu2, a, b) == _splitting_or_error(
+            ore_analyze, trinomial(a, b), 2)
+    if a % 3 and b:
+        assert disc(a, b) % 3
+        assert _splitting_or_error(nu3, a, b) == _splitting_or_error(
+            ore_analyze, trinomial(a, b), 3)
+
+
+def test_nu3_meets_the_factor_of_17_6():
+    # F = x^9 + 17x + 6 is reducible with no integer root; its certificate
+    # is UNKNOWN, and nu3 finds a naive lift that divides F over Z
+    assert irreducibility_certificate(17, 6)[0] is Certificate.UNKNOWN
+    with pytest.raises(ExactDivisorError):
+        nu3(17, 6)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ from nonicindex.nonic import (
     IndeterminateFactorization,
     ReduciblePolynomial,
     _disc_prime_to_6,
+    _show,
     classify,
     critical_shift,
     delta_unit,
@@ -31,6 +32,16 @@ def test_disc_values():
     assert disc(0, 1) == 3**18 == 387420489
     assert disc(1, 0) == 2**24 == 16777216
     assert val(2, disc(183, 296)) == 29
+
+
+def test_show_shortens_only_past_2000_digits():
+    # the longest integer a pinned report prints has 1,616 digits
+    for n in (0, -7, 10**2000 - 1, -(10**2000) + 1):
+        assert _show(n) == str(n)
+    assert _show(10**2000) == "10000000000000000000... (2001 digits)"
+    n = 3 * 10**5000 + 12345 * 10**4980
+    assert _show(-n) == "-30000000000000001234... (5001 digits)"
+    assert _show(10**4300 - 1) == "99999999999999999999... (4300 digits)"
 
 
 def test_delta_unit():

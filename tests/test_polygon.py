@@ -126,7 +126,7 @@ def test_principal_polygon_examples():
 def test_polygon_empty_when_phibar_not_a_factor():
     # b odd: x does not divide F mod 2
     an = analyze_phi(trinomial(2, 3), 2, (0, 1))
-    assert an.polygon.is_empty
+    assert not an.polygon.sides
     assert an.index == 0
 
 
