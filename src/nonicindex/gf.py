@@ -231,10 +231,6 @@ def psub(F, f, g) -> tuple:
     return F.trim(out)
 
 
-def pscale(F, f, e) -> tuple:
-    return F.trim(tuple(F.mul(c, e) for c in f))
-
-
 def pmul(F, f, g) -> tuple:
     if not f or not g:
         return ()
