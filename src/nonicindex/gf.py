@@ -6,12 +6,16 @@ are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
 ints.  Over F_p (F.degree == 1), pmul and pdivmod work on plain ints,
 reducing mod p once per coefficient, and go through the field's add/mul
 only over extensions; pmod is a remainder-only loop on plain ints that
-never builds a quotient.  pgcd, ppowmod and ExtField.mul are built on
-them, and distinct_degree takes each next Frobenius power as one product
-with a matrix built once per polynomial.  Everything is deterministic:
+never builds a quotient, and pgcd is Euclid's algorithm in place on int
+lists.  ppowmod and ExtField.mul are built on them.  Over F_p,
+distinct_degree is one pass on int lists: it takes each next Frobenius
+power as one product with a matrix built once per polynomial, whose rows
+are, while p < deg f, shifts by p reduced with f's nonzero coefficients,
+and takes each step's gcd with the same Euclid.  Everything is deterministic:
 factor() returns a linear input as it is, and otherwise uses squarefree
 splitting, then distinct-degree splitting, then equal-degree splitting by
-exhaustive search over the q^d monic candidates of the factor degree d.
+exhaustive search over the q^d monic candidates of the factor degree d;
+it divides out multiplicities only when the input is not squarefree.
 That is fine for the operating envelope: F mod p has degree 9, and a
 residual polynomial over F_q = F_p[x]/(phi) has degree at most
 9 / deg(phi), so the search tries at most p^4 candidates, 2,401 at p = 7,
@@ -307,7 +311,7 @@ def _pmod_ints(p: int, f, g) -> tuple:
         rem = [c % p for c in f]
     else:
         lead_inv = pow(g[m - 1], -1, p)
-        low = tuple(enumerate(g[: m - 1]))
+        low = [(j, y) for j, y in enumerate(g[: m - 1]) if y]
         rem = list(f)
         for i in range(len(rem) - m, -1, -1):
             c = rem[i + m - 1] * lead_inv % p
@@ -331,12 +335,39 @@ def pmonic(F, f) -> tuple:
 
 
 def pgcd(F, f, g) -> tuple:
-    f, g = F.trim(f), F.trim(g)
+    if F.degree == 1:
+        return _pgcd_ints(F.p, list(ztrim(f)), list(ztrim(g)))
+    f, g = ptrim(f), ptrim(g)
     while g:
         f, g = g, pmod(F, f, g)
     if not f:
         return ()
     return pmonic(F, f)[1]
+
+
+def _pgcd_ints(p: int, f: list, g: list) -> tuple:
+    """Monic gcd over F_p of two trimmed lists of ints in [0, p), which it
+    consumes: Euclid's algorithm with each remainder taken in place in the
+    list it replaces, using only the divisor's nonzero low coefficients."""
+    while g:
+        m = len(g) - 1
+        if len(f) > m:
+            lead_inv = pow(g[m], -1, p)
+            low = [(j, y) for j, y in enumerate(g[:m]) if y]
+            for i in range(len(f) - 1, m - 1, -1):
+                c = f[i] * lead_inv % p
+                if c:
+                    i -= m
+                    for j, y in low:
+                        f[i + j] -= c * y
+            f = [c % p for c in f[:m]]
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    if not f:
+        return ()
+    lead_inv = pow(f[-1], -1, p)
+    return tuple(c * lead_inv % p for c in f)
 
 
 def ppowmod(F, f, n: int, mod) -> tuple:
@@ -429,20 +460,19 @@ def distinct_degree(F, f):
     """Split monic squarefree f into [(product of its degree-d factors, d)].
 
     Step d takes gcd(x^(q^d) - x, rem), where rem is what the earlier steps
-    left of f.  Over an extension each step raises w = x^(q^(d-1)) to the
-    q-th power mod rem; over F_p it is one product with f's Frobenius
-    matrix instead (_frobenius_ints), whose result mod f serves for rem,
-    a divisor of f.
+    left of f, raising w = x^(q^(d-1)) to the q-th power mod rem.  Over F_p
+    this is _distinct_degree_ints.
     """
+    if F.degree == 1:
+        return _distinct_degree_ints(F.p, f)
     out = []
     x = (F.zero, F.one)
     w = x
     d = 0
     rem = f
-    frobenius = _frobenius_ints(F, f) if F.degree == 1 and pdeg(f) >= 2 else None
     while pdeg(rem) >= 2 * (d + 1):
         d += 1
-        w = frobenius(w) if frobenius else ppowmod(F, w, F.q, rem)
+        w = ppowmod(F, w, F.q, rem)
         g = pgcd(F, psub(F, w, x), rem)
         if pdeg(g) > 0:
             out.append((g, d))
@@ -453,29 +483,63 @@ def distinct_degree(F, f):
     return out
 
 
-def _frobenius_ints(F, f):
-    """The map w -> w^p mod f over F_p, for w of degree < deg f.
+def _distinct_degree_ints(p: int, f):
+    """distinct_degree over F_p, on plain int lists.
 
-    It is linear over F_p, so w^p is a combination of the rows x^(i p) mod f
-    of Berlekamp's matrix (Bell Syst. Tech. J. 1967), built once per f:
-    iterating it gives x^(p^d) for each d in turn (von zur Gathen and
-    Shoup, Comput. Complexity 1992).  x^p is a monomial while p < deg f.
+    w -> w^p mod f is linear over F_p, so w^p is a combination of the rows
+    x^(i p) mod f of Berlekamp's matrix (Bell Syst. Tech. J. 1967), built
+    once per f: iterating it gives x^(p^d) for each d in turn (von zur
+    Gathen and Shoup, Comput. Complexity 1992), and w mod f serves for
+    w mod rem, a divisor of f.  Each row is the one before times x^p mod f,
+    which is a shift by p while p < deg f; products are reduced with f's
+    nonzero low coefficients only, 2 of them for a trinomial.
     """
-    p, n = F.p, pdeg(f)
-    xp = (0,) * p + (1,) if p < n else ppowmod(F, (0, 1), p, f)
-    rows = [(1,), xp]
-    while len(rows) < n:
-        rows.append(pmod(F, pmul(F, xp, rows[-1]), f))
+    n = len(f) - 1
+    out = []
+    rem = f
+    if n >= 2:
+        low = [(j, y) for j, y in enumerate(f[:n]) if y]
 
-    def frobenius(w):
-        acc = [0] * n
-        for c, row in zip(w, rows):
-            if c:
-                for j, r in enumerate(row):
-                    acc[j] += c * r
-        return ztrim([c % p for c in acc])
+        def reduce(acc):  # acc mod the monic f, as a list of length n
+            for i in range(len(acc) - 1, n - 1, -1):
+                c = acc[i] % p
+                if c:
+                    i -= n
+                    for j, y in low:
+                        acc[i + j] -= c * y
+            return [c % p for c in acc[:n]]
 
-    return frobenius
+        xp = [(j, y) for j, y in enumerate(reduce([0] * p + [1])) if y]
+        width = n + max((j for j, _ in xp), default=0)
+        rows = [[1] + [0] * (n - 1)]
+        while len(rows) < n:
+            acc = [0] * width
+            for i, c in enumerate(rows[-1]):
+                if c:
+                    for j, y in xp:
+                        acc[i + j] += c * y
+            rows.append(reduce(acc))
+        w = [0, 1]
+        d = 0
+        while len(rem) - 1 >= 2 * (d + 1):
+            d += 1
+            acc = [0] * n
+            for c, row in zip(w, rows):
+                if c:
+                    acc = [a + c * r for a, r in zip(acc, row)]
+            w = [c % p for c in acc]
+            h = w[:]  # w - x
+            h[1] = (h[1] - 1) % p
+            while h and not h[-1]:
+                h.pop()
+            g = _pgcd_ints(p, list(rem), h)
+            if len(g) > 1:
+                out.append((g, d))
+                rem = _pdivmod_ints(p, rem, g)[0]
+                w = _pmod_ints(p, w, rem)
+    if len(rem) > 1:
+        out.append((rem, len(rem) - 1))
+    return out
 
 
 def _equal_degree_exhaustive(F, f, d: int):
@@ -518,12 +582,16 @@ def factor(F, f) -> Factorization:
         return Factorization(unit, ((monic, 1),))
     # collect the set of irreducible factors, then read off multiplicities
     irreducibles = set()
-    for squarefree in _squarefree_parts(F, monic):
+    parts = list(_squarefree_parts(F, monic))
+    for squarefree in parts:
         for part, d in distinct_degree(F, squarefree):
             irreducibles.update(_equal_degree_exhaustive(F, part, d))
+    irreducibles = sorted(irreducibles, key=lambda c: (len(c), c))
+    if parts == [monic]:  # monic is squarefree: every multiplicity is 1
+        return Factorization(unit, tuple((psi, 1) for psi in irreducibles))
     found = []
     rem = monic
-    for psi in sorted(irreducibles, key=lambda c: (len(c), c)):
+    for psi in irreducibles:
         mult = 0
         while True:
             quo, r = pdivmod(F, rem, psi)
@@ -566,6 +634,7 @@ def _mobius(n: int) -> int:
     return mu
 
 
+@lru_cache(maxsize=256)
 def count_monic_irreducible(p: int, f: int) -> int:
     """Number of monic irreducible polynomials of degree f over F_p.
 

@@ -186,7 +186,10 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     reduction mod p <= 100, or mod-p factor-degree patterns whose subset
     sums only allow the trivial factor degrees.  Reducible: an integer
     root, the smallest one being reported, or a = 0 with b a cube.
-    Unknown otherwise.
+    Unknown otherwise.  The proofs are tried first, and the root search and
+    the cube test run only when none succeeds: a proof rules out an integer
+    root and a cubic factor alike, so the order changes no verdict, and a
+    proven F of any size pays for no root search.
 
     F is monic, so F mod p is squarefree exactly when p does not divide
     disc(a, b), and then the degrees of its irreducible factors give both
@@ -206,15 +209,6 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
-    root = _smallest_integer_root(a, b)
-    if root is not None:
-        return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
-    if a == 0:
-        # Capelli: x^9 + b is reducible exactly when b = c^3, with factor x^3 + c
-        c = _iroot(abs(b), 3)
-        if c**3 == abs(b):
-            sign = "+" if b > 0 else "-"
-            return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
     F = trinomial(a, b)
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):
@@ -243,6 +237,15 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         allowed_degrees = sums if allowed_degrees is None else (allowed_degrees & sums)
         if allowed_degrees == {0, 9}:
             return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
+    root = _smallest_integer_root(a, b)
+    if root is not None:
+        return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
+    if a == 0:
+        # Capelli: x^9 + b is reducible exactly when b = c^3, with factor x^3 + c
+        c = _iroot(abs(b), 3)
+        if c**3 == abs(b):
+            sign = "+" if b > 0 else "-"
+            return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
     return Certificate.UNKNOWN, "no cheap certificate found"
 
 

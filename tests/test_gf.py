@@ -2,11 +2,12 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
     gf_div,
+    gf_factor,
     gf_gcd,
     gf_mul,
     gf_pow_mod,
@@ -257,6 +258,63 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
     assert ppowmod(field, f, n, g) == _from_sympy(expected, p)
 
 
+def _gcd_operand(p):
+    """Zero, a nonzero constant, or a polynomial of degree <= 12, trailing
+    zeros allowed."""
+    return st.one_of(
+        st.just(()),
+        st.integers(1, p - 1).map(lambda c: (c,)),
+        st.lists(st.integers(0, p - 1), max_size=13).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 97)).flatmap(
+    lambda p: st.tuples(st.just(p), _gcd_operand(p), _gcd_operand(p), _gcd_operand(p))))
+def test_pgcd_matches_sympy_on_zero_and_constant_operands(case):
+    p, f, g, h = case
+    field = PrimeField(p)
+
+    def expected(u, v):
+        return _from_sympy(gf_gcd(_to_sympy(ptrim(u)), _to_sympy(ptrim(v)), p, ZZ), p)
+
+    assert pgcd(field, f, g) == expected(f, g)
+    assert pgcd(field, g, f) == expected(f, g)
+    fh, gh = pmul(field, ptrim(f), ptrim(h)), pmul(field, ptrim(g), ptrim(h))  # a common factor
+    assert pgcd(field, fh, gh) == expected(fh, gh)
+
+
+def _factor_case(p):
+    monic = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(lambda c: tuple(c) + (1,))
+    squarefree = st.lists(st.integers(0, p - 1), min_size=1, max_size=9).map(
+        lambda c: tuple(c) + (1,)).filter(lambda f: gf_sqf_p(_to_sympy(f), p, ZZ))
+    return st.tuples(st.just(p), st.integers(1, p - 1), squarefree, monic, monic,
+                     st.sampled_from(("squarefree", "square", "p-th power")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(_factor_case))
+def test_factor_matches_sympy_with_and_without_repeated_factors(case):
+    # a squarefree input takes factor()'s shortcut past the multiplicity
+    # loop; g^2 h and g^p (g' != 0, so g^p is a p-th power but g is not) take the loop
+    p, unit, sqf, g, h, shape = case
+    field = PrimeField(p)
+    if shape == "squarefree":
+        f = sqf
+    elif shape == "square":
+        f = pmul(field, pmul(field, g, g), h)
+    else:
+        assume(gf.pderiv(field, g))
+        f = g
+        for _ in range(p - 1):
+            f = pmul(field, f, g)
+    f = tuple(c * unit % p for c in f)
+    lead, factors = gf_factor(_to_sympy(f), p, ZZ)
+    fact = factor(field, f)
+    assert fact.unit == int(lead) % p
+    assert fact.factors == tuple(sorted(
+        ((_from_sympy(psi, p), k) for psi, k in factors), key=lambda fk: (len(fk[0]), fk[0])))
+
+
 # ---------------------------------------------------------------------------
 # distinct_degree over F_p against the algorithm it replaced
 
@@ -284,14 +342,28 @@ def _reference_distinct_degree(p, f):
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 
 
+def _sparse_monic(p):
+    """x^n + c x + e for 2 <= n <= 12: a trinomial, or a binomial when c = 0."""
+    return st.tuples(st.integers(2, 12), st.integers(0, p - 1), st.integers(0, p - 1)).map(
+        lambda t: (t[2], t[1]) + (0,) * (t[0] - 2) + (1,))
+
+
 def _squarefree_monic(p):
     coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=12)
-    return st.tuples(st.just(p), coeffs.map(lambda c: tuple(c) + (1,))).filter(
+    dense = coeffs.map(lambda c: tuple(c) + (1,))
+    return st.tuples(st.just(p), st.one_of(dense, _sparse_monic(p))).filter(
         lambda case: gf_sqf_p(_to_sympy(case[1]), p, ZZ))
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.sampled_from(PRIMES_TO_97).flatmap(_squarefree_monic))
+# sparse inputs, with p below deg f (the rows of the Frobenius matrix are
+# shifts by p) and at or above it
+@example((2, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)))
+@example((3, (1, 2) + (0,) * 10 + (1,)))
+@example((7, (3,) + (0,) * 8 + (1,)))
+@example((11, (3, 5, 0, 0, 0, 0, 0, 0, 0, 1)))
+@example((13, (2,) + (0,) * 11 + (1,)))
 def test_distinct_degree_matches_reference(case):
     p, f = case
     assert distinct_degree(PrimeField(p), f) == _reference_distinct_degree(p, f)

@@ -162,6 +162,46 @@ def test_unramified_splitting_matches_the_engine(a0, b0, scale):
             ore_analyze, trinomial(a, b), 3)
 
 
+# residues (a, b) mod 7 with x^9 + ax + b irreducible mod 7
+_IRREDUCIBLE_MOD_7 = [(r, s) for r in range(7) for s in range(7) if _irreducible_mod(r, s, 7)]
+
+
+def _with_residues(a, b, r, s):
+    return a - a % 7 + r, b - b % 7 + s
+
+
+def test_certificate_proves_without_a_root_search(monkeypatch):
+    # a proof rules out an integer root, so the search never runs once one
+    # is found, whatever the size of the input (here up to about 5,000 digits)
+    def no_search(a, b):
+        raise AssertionError("root search ran")
+
+    monkeypatch.setattr(nonic, "_smallest_integer_root", no_search)
+    assert _IRREDUCIBLE_MOD_7
+    rng = random.Random(17)
+    sizes = (2, 20, 45, 400, 5000)
+    for digits in sizes:
+        for r, s in _IRREDUCIBLE_MOD_7:
+            a, b = _with_residues(rng.randrange(10**digits), -rng.randrange(10**digits), r, s)
+            assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN, (digits, r, s)
+
+
+@pytest.mark.parametrize("a, b", [(-76, 96), (-76, -96), (-34, 21), (-34, -21), (17, 6), (17, -6)])
+def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, a, b):
+    # the six UNKNOWN pairs of [-100, 100]^2 (reducible, no integer root):
+    # no proof exists, so the search runs and finds no root
+    searched = []
+    search = nonic._smallest_integer_root
+
+    def recorded(a, b):
+        searched.append((a, b))
+        return search(a, b)
+
+    monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
+    assert irreducibility_certificate(a, b) == (Certificate.UNKNOWN, "no cheap certificate found")
+    assert searched == [(a, b)]
+
+
 def test_nu3_meets_the_factor_of_17_6():
     # F = x^9 + 17x + 6 is reducible with no integer root; its certificate
     # is UNKNOWN, and nu3 finds a naive lift that divides F over Z
