@@ -354,10 +354,9 @@ def _pgcd_ints(p: int, f: list, g: list) -> tuple:
         if len(f) > m:
             lead_inv = pow(g[m], -1, p)
             low = [(j, y) for j, y in enumerate(g[:m]) if y]
-            for i in range(len(f) - 1, m - 1, -1):
-                c = f[i] * lead_inv % p
+            for i in range(len(f) - m - 1, -1, -1):
+                c = f[i + m] * lead_inv % p
                 if c:
-                    i -= m
                     for j, y in low:
                         f[i + j] -= c * y
             f = [c % p for c in f[:m]]
@@ -501,10 +500,9 @@ def _distinct_degree_ints(p: int, f):
         low = [(j, y) for j, y in enumerate(f[:n]) if y]
 
         def reduce(acc):  # acc mod the monic f, as a list of length n
-            for i in range(len(acc) - 1, n - 1, -1):
-                c = acc[i] % p
+            for i in range(len(acc) - n - 1, -1, -1):
+                c = acc[i + n] % p
                 if c:
-                    i -= n
                     for j, y in low:
                         acc[i + j] -= c * y
             return [c % p for c in acc[:n]]
