@@ -162,14 +162,6 @@ def test_unramified_splitting_matches_the_engine(a0, b0, scale):
             ore_analyze, trinomial(a, b), 3)
 
 
-# residues (a, b) mod 7 with x^9 + ax + b irreducible mod 7
-_IRREDUCIBLE_MOD_7 = [(r, s) for r in range(7) for s in range(7) if _irreducible_mod(r, s, 7)]
-
-
-def _with_residues(a, b, r, s):
-    return a - a % 7 + r, b - b % 7 + s
-
-
 def test_certificate_proves_without_a_root_search(monkeypatch):
     # a proof rules out an integer root, so the search never runs once one
     # is found, whatever the size of the input (here up to about 5,000 digits)
@@ -177,12 +169,13 @@ def test_certificate_proves_without_a_root_search(monkeypatch):
         raise AssertionError("root search ran")
 
     monkeypatch.setattr(nonic, "_smallest_integer_root", no_search)
-    assert _IRREDUCIBLE_MOD_7
+    residues = [(r, s) for r in range(7) for s in range(7) if _irreducible_mod(r, s, 7)]
+    assert residues
     rng = random.Random(17)
-    sizes = (2, 20, 45, 400, 5000)
-    for digits in sizes:
-        for r, s in _IRREDUCIBLE_MOD_7:
-            a, b = _with_residues(rng.randrange(10**digits), -rng.randrange(10**digits), r, s)
+    for digits in (2, 20, 45, 400, 5000):
+        for r, s in residues:
+            a, b = rng.randrange(10**digits), -rng.randrange(10**digits)
+            a, b = a - a % 7 + r, b - b % 7 + s  # F mod 7 is irreducible
             assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN, (digits, r, s)
 
 
