@@ -27,6 +27,7 @@ from .arith import (
     bounded_factor,
     inv_mod_pk,
     primes_upto,
+    trial_divide,
     unit_part,
     val,
 )
@@ -115,17 +116,20 @@ def normalize(a: int, b: int) -> tuple:
 
     The result defines the same field.  A prime that can be stripped has
     p^8 | gcd(a, b), so only the primes of the gcd are visited, and a
-    coprime pair returns at once.  The gcd goes to bounded_factor when it
-    is at least 2^8.  A prime that its budget cannot split out (one of more
-    than about 15 digits) is not stripped; is_normalized raises and
-    classify warns when that may have happened.
+    coprime pair returns at once.  The gcd is trial-divided first, and goes
+    to bounded_factor only when the part past trial division is at least
+    TRIAL_LIMIT^8, so that it may hide a p^8.  A prime that the budget
+    cannot split out (one of more than about 15 digits) is not stripped;
+    is_normalized raises and classify warns when that may have happened.
     """
     return _normalize(a, b)[0]
 
 
 def _normalize(a: int, b: int) -> tuple:
     """((a, b) normalized, gcd_factored): gcd_factored is bounded_factor of
-    gcd(a, b), or None when the gcd is below 2^8 and no p^8 divides it.
+    gcd(a, b), or None when the gcd is below 2^8 or trial division settles
+    it: the part of the gcd past trial division is then below
+    TRIAL_LIMIT^8, and no prime past TRIAL_LIMIT has its p^8 in it.
 
     Every prime found is tested, whatever its count, so a prime that was
     not stripped but should have been lies wholly in the unfactored part,
@@ -134,8 +138,9 @@ def _normalize(a: int, b: int) -> tuple:
     g = gcd(a, b)
     if g < 2**8:
         return (a, b), None
-    gcd_factored = bounded_factor(g)
-    for p in gcd_factored[0]:
+    small = {}
+    gcd_factored = bounded_factor(g) if trial_divide(g, small) >= TRIAL_LIMIT**8 else None
+    for p in gcd_factored[0] if gcd_factored else small:
         while a % p**8 == 0 and b % p**9 == 0:
             a //= p**8
             b //= p**9
@@ -179,6 +184,23 @@ def _smallest_integer_root(a: int, b: int) -> int | None:
     return None
 
 
+def _has_root_mod(a: int, b: int, p: int) -> bool:
+    """Whether x^9 + ax + b has a root mod p, by p evaluations."""
+    a, b = a % p, b % p
+    return any((x**9 + a * x + b) % p == 0 for x in range(p))
+
+
+def _factor_degrees(F: tuple, p: int) -> list:
+    """The degrees of the irreducible factors of F mod p, which is squarefree."""
+    field_p = gf.PrimeField(p)
+    fbar = gf.reduce_mod_p(F, p)
+    if p <= 3:
+        # nu2 / nu3 read the splitting off this same factorization
+        return [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
+    return [d for part, d in gf.distinct_degree(field_p, fbar)
+            for _ in range(gf.pdeg(part) // d)]
+
+
 def irreducibility_certificate(a: int, b: int) -> tuple:
     """(Certificate, detail) for x^9 + ax + b, by cheap deterministic means.
 
@@ -201,6 +223,20 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     p <= 100 they come from one distinct-degree pass, whose Frobenius
     powers x^(p^d) mod F are products with one Frobenius matrix per prime.
 
+    Before that pass, a prime p >= 5 gets a root test, p evaluations of F
+    mod p.  A prime where F has a root cannot prove F irreducible mod p,
+    and while every pattern so far has a linear factor (1 is allowed) it
+    cannot complete the degree-sum proof either: every pattern with a
+    linear factor allows the degrees 1 and 8.  Such a prime is set aside as
+    pending, with no pass.  At the next usable p >= 5 with no root, its own
+    pass runs first, which may prove F irreducible mod p; then the passes
+    of the pending primes, and every pattern is folded into the allowed
+    degrees before the degree-sum check.  A pending prime can end neither
+    proof where the prime-by-prime loop would have ended it, so the prime
+    each proof names and every detail stay those of that loop.  An F with
+    an integer root has a root mod every p, so it runs no distinct-degree
+    pass at all, only the root search.
+
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
     where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
@@ -217,24 +253,23 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed_degrees = None
+    pending = []  # primes with a root mod p, no pass run yet
     delta = disc(a, b)
     for p in _CERT_PRIMES:
         if delta % p == 0:
             continue  # F mod p is not squarefree: neither irreducible nor usable
-        field_p = gf.PrimeField(p)
-        fbar = gf.reduce_mod_p(F, p)
-        if p <= 3:
-            # nu2 / nu3 read the splitting off this same factorization
-            degrees = [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
-        else:
-            degrees = [d for part, d in gf.distinct_degree(field_p, fbar)
-                       for _ in range(gf.pdeg(part) // d)]
+        if p >= 5 and (allowed_degrees is None or 1 in allowed_degrees) and _has_root_mod(a, b, p):
+            pending.append(p)
+            continue
+        degrees = _factor_degrees(F, p)
         if degrees == [9]:
             return Certificate.PROVEN, f"irreducible mod {p}"
-        sums = {0}
-        for d in degrees:
-            sums |= {s + d for s in sums}
-        allowed_degrees = sums if allowed_degrees is None else (allowed_degrees & sums)
+        for pattern in [degrees] + [_factor_degrees(F, q) for q in pending]:
+            sums = {0}
+            for d in pattern:
+                sums |= {s + d for s in sums}
+            allowed_degrees = sums if allowed_degrees is None else (allowed_degrees & sums)
+        pending = []
         if allowed_degrees == {0, 9}:
             return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
     root = _smallest_integer_root(a, b)
@@ -440,12 +475,15 @@ def _unramified_split(F, p: int) -> Splitting:
     per irreducible factor psi.  This is what ore_analyze finds, each naive
     lift having a one-sided polygon of length 1, without the polygons.  Like
     it, raises ExactDivisorError when a naive lift psi other than F itself
-    (p inert) divides F over Z.
+    (p inert) divides F over Z.  A lift psi has coefficients in [0, p) and
+    degree >= 1, so psi(2) >= 2, and psi | F gives psi(2) | F(2): only a
+    psi that passes this test is divided into F.
     """
     pairs = []
+    f2 = zeval(F, 2)
     for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
         m = gf.pdeg(psi)
-        if psi != F:
+        if psi != F and f2 % zeval(psi, 2) == 0:
             rem = list(F)  # F mod psi over Z (psi is monic), one division of phi_expand's many
             for i in range(len(rem) - 1, m - 1, -1):
                 if c := rem[i]:

@@ -399,9 +399,48 @@ def _reference_certificate(a, b):
     return Certificate.UNKNOWN, "no cheap certificate found"
 
 
+def _reference_degrees(a, b, p):
+    fbar = reduce_mod_p(trinomial(a, b), p)
+    return [d for part, d in _reference_distinct_degree(p, fbar) for _ in range(pdeg(part) // d)]
+
+
+def _pending_kinds(a, b, detail):
+    """How the certificate's loop meets the primes it sets aside on (a, b),
+    given the reference detail.  It sets aside the usable p >= 5 with a
+    root mod p met while every pattern so far has a linear factor.
+    "reducible" when a later usable p >= 5 with no root is reducible mod
+    p, so the set-aside passes run; "degree-sum" when the degree-sum proof
+    completes after a prime was set aside.  Walked with the reference
+    passes, in the order of the reference loop."""
+    if detail.startswith(("x divides", "integer root", "one-sided")):
+        return set()
+    kinds, allowed, pending = set(), None, False
+    for p in PRIMES_TO_97:
+        if disc(a, b) % p == 0:
+            continue
+        degrees = _reference_degrees(a, b, p)
+        if degrees == [9]:
+            break
+        if p >= 5 and 1 in degrees and (allowed is None or 1 in allowed):
+            pending = True
+        elif p >= 5 and pending:
+            kinds.add("reducible")
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        allowed = sums if allowed is None else allowed & sums
+        if allowed == {0, 9}:
+            if pending:
+                kinds.add("degree-sum")
+            break
+    return kinds
+
+
 def test_certificate_matches_reference_on_seeded_pairs():
     # pairs of 1-45 digits; every fifth one gets an integer root r, and
-    # (1, 1), (17, 6) are reducible with no integer root
+    # (1, 1), (17, 6) are reducible with no integer root.  The last 300
+    # are reducible mod 7 with no root mod 7, so that a prime >= 5 with a
+    # root, set aside before 7, has its pass run at 7.
     rng = random.Random(2024)
     pairs = [(1, 1), (17, 6)]
     for i in range(2000):
@@ -411,12 +450,21 @@ def test_certificate_matches_reference_on_seeded_pairs():
             r = rng.randrange(-99, 100)
             b = -(r**9 + a * r)
         pairs.append((a, b))
-    verdicts = set()
+    rootless_reducible = [(r, s) for r in range(7) for s in range(7) if disc(r, s) % 7
+                          and 1 not in (degrees := _reference_degrees(r, s, 7)) and degrees != [9]]
+    for _ in range(300):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randrange(1, 46))
+                for _ in range(2))
+        r, s = rng.choice(rootless_reducible)
+        pairs.append((a - a % 7 + r, b - b % 7 + s))
+    verdicts, kinds = set(), set()
     for a, b in pairs:
         expected = _reference_certificate(a, b)
         assert irreducibility_certificate(a, b) == expected, (a, b)
         verdicts.add(expected[1].split(" = ")[0].split(" mod ")[0])
+        kinds |= _pending_kinds(a, b, expected[1])
     assert verdicts == {
         "x divides x^9 + ax", "integer root x", "one-sided polygon at p",
         "irreducible", "mod-p factor degrees only allow trivial splits",
         "no cheap certificate found"}, verdicts
+    assert kinds == {"reducible", "degree-sum"}, kinds

@@ -29,7 +29,7 @@ from nonicindex.nonic import (
     nu2,
     nu3,
 )
-from nonicindex.polygon import ExactDivisorError, ore_analyze, trinomial
+from nonicindex.polygon import ExactDivisorError, ore_analyze, trinomial, zeval
 
 
 def _scanned_root(a, b):
@@ -195,6 +195,41 @@ def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, a, b):
     assert searched == [(a, b)]
 
 
+def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch):
+    # F with an integer root r has a root mod every p, so every usable
+    # p >= 5 is set aside and no distinct-degree pass runs there; 2 and 3
+    # still read gf.factor, which nu2 and nu3 share
+    pass_ = gf.distinct_degree
+
+    def no_pass(field, f):
+        if field.p >= 5:
+            raise AssertionError("distinct-degree pass ran")
+        return pass_(field, f)
+
+    monkeypatch.setattr(gf, "distinct_degree", no_pass)
+    rng = random.Random(18)
+    for digits in (3, 20, 45):
+        for _ in range(30):
+            a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+            r = rng.choice((-1, 1)) * rng.randrange(1, 100)
+            b = -(r**9 + a * r)
+            assert irreducibility_certificate(a, b) == (
+                Certificate.REDUCIBLE, f"integer root x = {r}"), (a, b)
+
+
+def test_unramified_split_divides_only_where_psi_2_divides_F_2():
+    # a seeded pair (random.Random(18)) where F mod 3 has the factor
+    # x^2 + 1, whose value 5 at 2 divides F(2) although it does not divide
+    # F, and a factor whose value at 2 does not divide F(2): the division
+    # runs for the one and is skipped for the other
+    a, b = 86732986491310923719, -38488230566677824825
+    F = trinomial(a, b)
+    factors = [psi for psi, _ in gf.factor(gf.PrimeField(3), gf.reduce_mod_p(F, 3)).factors]
+    divided = [psi for psi in factors if zeval(F, 2) % zeval(psi, 2) == 0]
+    assert (1, 0, 1) in divided and len(divided) < len(factors)
+    assert nu3(a, b).splitting == ore_analyze(F, 3).splitting
+
+
 def test_nu3_meets_the_factor_of_17_6():
     # F = x^9 + 17x + 6 is reducible with no integer root; its certificate
     # is UNKNOWN, and nu3 finds a naive lift that divides F over Z
@@ -267,6 +302,20 @@ def test_normalize_says_when_a_prime_may_be_left():
     q = nextprime(10**5)
     assert normalize(5 * q**8 * r, 7 * q**9 * r) == (5 * r, 7 * r)
     assert is_normalized(5 * r, 7 * r)
+
+
+def test_normalize_stops_at_trial_division(monkeypatch):
+    # gcd(a, b) = 2^8 p q: past trial division, p q < TRIAL_LIMIT^8 holds
+    # no eighth power, so the factoring chain is not needed
+    def no_chain(n):
+        raise AssertionError("bounded_factor ran")
+
+    monkeypatch.setattr(nonic, "bounded_factor", no_chain)
+    p, q = nextprime(10**7), nextprime(6 * 10**7)
+    a, b = 2**8 * 5 * p * q, 2**9 * 7 * p * q
+    assert normalize(a, b) == (5 * p * q, 7 * p * q)
+    assert not is_normalized(a, b)
+    assert is_normalized(5 * p * q, 7 * p * q)
 
 
 @pytest.mark.parametrize("scale, digest", [
