@@ -445,10 +445,23 @@ def _ecm_curve(n: int, sigma: int, plan: tuple) -> tuple:
     for _ in range(_ECM_D // 4 - 1):
         odd.append(_xadd(*odd[-1], X2, Z2, *odd[-2], n))
     XG, ZG = _xdbl(*odd[-1], n, a24)  # D Q
-    g = math.gcd(math.prod(odd[j // 2][1] for j in _ECM_BABY) % n, n)
+    # x_j = X_j / Z_j by one inversion (Montgomery's simultaneous inverse):
+    # prefix products of the Z_j, the inverse of the last, then a backward pass
+    steps = [odd[j // 2] for j in _ECM_BABY]
+    prefix, acc = [], 1
+    for _, Zj in steps:
+        acc = acc * Zj % n
+        prefix.append(acc)
+    g = math.gcd(acc, n)
     if g != 1:
         return (g if g < n else None), mults1 + mults2
-    xs = [odd[j // 2][0] * pow(odd[j // 2][1], -1, n) % n for j in _ECM_BABY]
+    inv = pow(acc, -1, n)  # 1 / (Z_0 ... Z_last)
+    xs = [0] * len(steps)
+    for i in range(len(steps) - 1, 0, -1):
+        Xj, Zj = steps[i]
+        xs[i] = Xj * prefix[i - 1] % n * inv % n
+        inv = inv * Zj % n  # 1 / (Z_0 ... Z_(i-1))
+    xs[0] = steps[0][0] * inv % n
     (Xk, Zk), (Xn, Zn) = _ladder(k0, XG, ZG, n, a24)
     # X_k - x_j Z_k is 0 mod p when k D Q = +-j Q mod p
     acc, start = 1, 0

@@ -455,15 +455,16 @@ def _squarefree_parts(F, f):
         stack.append(core)
 
 
-def distinct_degree(F, f):
+def distinct_degree(F, f, *, rootless: bool = False):
     """Split monic squarefree f into [(product of its degree-d factors, d)].
 
     Step d takes gcd(x^(q^d) - x, rem), where rem is what the earlier steps
     left of f, raising w = x^(q^(d-1)) to the q-th power mod rem.  Over F_p
-    this is _distinct_degree_ints.
+    this is _distinct_degree_ints, where rootless=True states that f has no
+    root in F_p, so that the gcd of step 1 is known to be 1 and is not taken.
     """
     if F.degree == 1:
-        return _distinct_degree_ints(F.p, f)
+        return _distinct_degree_ints(F.p, f, rootless)
     out = []
     x = (F.zero, F.one)
     w = x
@@ -482,7 +483,7 @@ def distinct_degree(F, f):
     return out
 
 
-def _distinct_degree_ints(p: int, f):
+def _distinct_degree_ints(p: int, f, rootless: bool = False):
     """distinct_degree over F_p, on plain int lists.
 
     w -> w^p mod f is linear over F_p, so w^p is a combination of the rows
@@ -526,6 +527,8 @@ def _distinct_degree_ints(p: int, f):
                 if c:
                     acc = [a + c * r for a, r in zip(acc, row)]
             w = [c % p for c in acc]
+            if rootless and d == 1:
+                continue  # gcd(x^p - x, f) = 1: f has no root in F_p
             h = w[:]  # w - x
             h[1] = (h[1] - 1) % p
             while h and not h[-1]:

@@ -190,14 +190,15 @@ def _has_root_mod(a: int, b: int, p: int) -> bool:
     return any((x**9 + a * x + b) % p == 0 for x in range(p))
 
 
-def _factor_degrees(F: tuple, p: int) -> list:
-    """The degrees of the irreducible factors of F mod p, which is squarefree."""
+def _factor_degrees(F: tuple, p: int, rootless: bool = False) -> list:
+    """The degrees of the irreducible factors of F mod p, which is squarefree;
+    rootless=True when F is known to have no root mod p (p >= 5)."""
     field_p = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
     if p <= 3:
         # nu2 / nu3 read the splitting off this same factorization
         return [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
-    return [d for part, d in gf.distinct_degree(field_p, fbar)
+    return [d for part, d in gf.distinct_degree(field_p, fbar, rootless=rootless)
             for _ in range(gf.pdeg(part) // d)]
 
 
@@ -235,7 +236,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     proof where the prime-by-prime loop would have ended it, so the prime
     each proof names and every detail stay those of that loop.  An F with
     an integer root has a root mod every p, so it runs no distinct-degree
-    pass at all, only the root search.
+    pass at all, only the root search.  A pass at a prime that the root
+    test has shown rootless takes no gcd at degree 1, which would be 1.
 
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
@@ -258,10 +260,11 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     for p in _CERT_PRIMES:
         if delta % p == 0:
             continue  # F mod p is not squarefree: neither irreducible nor usable
-        if p >= 5 and (allowed_degrees is None or 1 in allowed_degrees) and _has_root_mod(a, b, p):
+        root_tested = p >= 5 and (allowed_degrees is None or 1 in allowed_degrees)
+        if root_tested and _has_root_mod(a, b, p):
             pending.append(p)
             continue
-        degrees = _factor_degrees(F, p)
+        degrees = _factor_degrees(F, p, rootless=root_tested)
         if degrees == [9]:
             return Certificate.PROVEN, f"irreducible mod {p}"
         for pattern in [degrees] + [_factor_degrees(F, q) for q in pending]:

@@ -10,16 +10,18 @@ repeated linear residual root sits on a denominator-1 side, the lift can be
 nudged (phi -> phi - p^h * root) and reanalyzed, which resolves every
 first-order case the classifier needs.  Anything else raises NotRegular.
 
-Integer polynomials are tuples of ints, lowest degree first.
+Integer polynomials are tuples of ints, lowest degree first.  The records
+(Side, NewtonPolygon, SideData, PhiAnalysis, Splitting, OreResult) are
+NamedTuples: immutable and hashable, and cheap to build once per lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import gf
-from .arith import INFINITY, val
+from .arith import INFINITY
 from .gf import pdeg, ztrim
 
 
@@ -95,18 +97,29 @@ def phi_expand(f, phi) -> list:
 
 
 def coeff_val(p: int, c) -> int | float:
-    """min over coefficients of nu_p; INFINITY for the zero polynomial."""
-    if not c:
-        return INFINITY
-    return min(val(p, x) for x in c)
+    """min over coefficients of nu_p; INFINITY for the zero polynomial.
+
+    p is prime, the engine's own.  Each nonzero coefficient is divided by p
+    only while it may still lower the minimum.
+    """
+    best = INFINITY
+    for x in c:
+        if x:
+            k = 0
+            while k < best and not x % p:
+                x //= p
+                k += 1
+            best = k
+            if not k:
+                break
+    return best
 
 
 # ---------------------------------------------------------------------------
 # principal polygon
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One segment of slope -h/e (gcd(h,e)=1), length l, degree d = l/e."""
 
     x0: int
@@ -123,8 +136,7 @@ class Side:
         return self.y0 * self.e - (i - self.x0) * self.h
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     vertices: tuple
     sides: tuple
 
@@ -169,12 +181,16 @@ def principal_polygon(points) -> NewtonPolygon:
 def lattice_index(polygon: NewtonPolygon) -> int:
     """Lattice points (i, j) with i >= 1, j >= 1 on or below the polygon."""
     total = 0
-    for side in polygon.sides:
-        start = max(side.x0, 1)
-        for i in range(start, side.x1 + 1):
-            if i == side.x0:
-                continue  # column counted by the previous side
-            total += max(0, side.height_num(i) // side.e)
+    for x0, y0, x1, _y1, h, e, _length, _degree in polygon.sides:
+        # the columns x0 < i <= x1, i >= 1 (column x0 belongs to the side
+        # before); num is e times the height at i, falling by h per column
+        start = max(x0, 0) + 1
+        num = y0 * e - (start - x0) * h
+        for _ in range(start, x1 + 1):
+            if num < 0:
+                break
+            total += num // e
+            num -= h
     # leftmost column of the first side, if it is at x >= 1
     if polygon.sides and polygon.sides[0].x0 >= 1:
         total += max(0, polygon.sides[0].y0)
@@ -209,7 +225,8 @@ def residual_poly(expansion, vals, field, side: Side) -> tuple:
         i = side.x0 + j * side.e
         target = side.y0 - j * side.h
         if vals[i] == target:
-            coeffs.append(field.from_coeffvec([x // p**target for x in expansion[i]]))
+            q = p**target
+            coeffs.append(field.from_coeffvec([x // q for x in expansion[i]]))
         elif vals[i] > target:
             coeffs.append(field.zero)
         else:  # pragma: no cover - would mean the side is not on the hull
@@ -219,8 +236,7 @@ def residual_poly(expansion, vals, field, side: Side) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class SideData:
+class SideData(NamedTuple):
     side: Side
     field: object
     residual: tuple
@@ -231,8 +247,7 @@ class SideData:
         return all(m == 1 for _, m in self.factorization.factors)
 
 
-@dataclass(frozen=True)
-class PhiAnalysis:
+class PhiAnalysis(NamedTuple):
     phi: tuple
     p: int
     expansion_vals: tuple
@@ -338,8 +353,7 @@ def analyze_phi_refined(F, p: int, phi) -> PhiAnalysis:
 # splitting types and Ore's theorem
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """Multiset of (ramification index e, residue degree f) pairs."""
 
     primes: tuple
@@ -362,8 +376,7 @@ class Splitting:
         return " ".join(f"({e},{f})" for e, f in self.primes)
 
 
-@dataclass(frozen=True)
-class OreResult:
+class OreResult(NamedTuple):
     splitting: Splitting
     index: int  # sum over lifts of the lattice index
     analyses: tuple

@@ -2,11 +2,13 @@
 division, Brent's rho and ECM under one deterministic budget, and the
 totality of classify above the chain's digit ceiling."""
 
+import math
 import os
 import random
 import subprocess
 import sys
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,73 @@ def test_ecm_splits_semiprimes(p, q):
     assert d in (p, q)
     assert 0 < units <= arith._FACTOR_BUDGET
     assert arith._ecm(p * q, arith._FACTOR_BUDGET) == (d, units)  # the same factor again
+
+
+def _reference_ecm_curve(n, sigma, plan, gcd=gcd):
+    """_ecm_curve with stage 2's baby steps x_j = X_j / Z_j taken by one
+    pow(Z_j, -1, n) each, as before the simultaneous inversion."""
+    e, k0, ends, baby, mults1, mults2 = plan
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    u3, v3 = u * u * u % n, v * v * v % n
+    den = 16 * u3 * v % n
+    g = gcd(den * v3 % n, n)
+    if g != 1:
+        return (g if g < n else None), arith._ECM_SETUP_MULTS
+    inv = pow(den * v3 % n, -1, n)
+    x = den * u3 * inv % n
+    a24 = pow(v - u, 3, n) * (3 * u + v) * v3 * inv % n
+    (X, Z), _ = arith._ladder(e, x, 1, n, a24)
+    g = gcd(Z, n)
+    if g != 1:
+        return (g if g < n else None), mults1
+    X2, Z2 = arith._xdbl(X, Z, n, a24)
+    odd = [(X, Z), arith._xadd(X2, Z2, X, Z, X, Z, n)]
+    for _ in range(arith._ECM_D // 4 - 1):
+        odd.append(arith._xadd(*odd[-1], X2, Z2, *odd[-2], n))
+    XG, ZG = arith._xdbl(*odd[-1], n, a24)
+    g = gcd(prod(odd[j // 2][1] for j in arith._ECM_BABY) % n, n)
+    if g != 1:
+        return (g if g < n else None), mults1 + mults2
+    xs = [odd[j // 2][0] * pow(odd[j // 2][1], -1, n) % n for j in arith._ECM_BABY]
+    (Xk, Zk), (Xn, Zn) = arith._ladder(k0, XG, ZG, n, a24)
+    acc, start = 1, 0
+    for end in ends:
+        for i in baby[start:end]:
+            acc = acc * (Xk - xs[i] * Zk) % n
+        start = end
+        (Xk, Zk), (Xn, Zn) = (Xn, Zn), arith._xadd(Xn, Zn, XG, ZG, Xk, Zk, n)
+    g = gcd(acc, n)
+    return (g if 1 < g < n else None), mults1 + mults2
+
+
+def test_ecm_curve_matches_per_element_inversion(monkeypatch):
+    # seeded semiprimes with factors of 7-16 digits, both stage-2 plans of
+    # the schedule's first rows, eight curves each.  Every gcd is recorded
+    # with its argument, so the stage-2 product acc, built from the baby
+    # steps' xs, must match as well as (d, mults).
+    seen = []
+
+    def recorded_gcd(x, n):
+        seen.append(x)
+        return gcd(x, n)
+
+    monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": recorded_gcd}))
+    rng = random.Random(448)
+    found = 0
+    for _ in range(10):
+        d1, d2 = rng.randrange(7, 17), rng.randrange(7, 17)
+        n = nextprime(rng.randrange(10 ** (d1 - 1), 10**d1)) * nextprime(rng.randrange(10 ** (d2 - 1), 10**d2))
+        for b1 in (150, 600):
+            plan = arith._ecm_plan(b1)
+            for sigma in range(6, 14):
+                got = arith._ecm_curve(n, sigma, plan)
+                got_gcds = seen[:]
+                seen.clear()
+                assert got == _reference_ecm_curve(n, sigma, plan, recorded_gcd), (n, b1, sigma)
+                assert got_gcds == seen, (n, b1, sigma)
+                seen.clear()
+                found += got[0] is not None and got[1] == plan[4] + plan[5]
+    assert found  # some curves split n in stage 2, from the baby steps' xs
 
 
 def test_ecm_never_spends_more_than_its_cap():

@@ -369,6 +369,35 @@ def test_distinct_degree_matches_reference(case):
     assert distinct_degree(PrimeField(p), f) == _reference_distinct_degree(p, f)
 
 
+def _rootless_squarefree_monic(p):
+    return _squarefree_monic(p).filter(
+        lambda case: all(sum(c * x**i for i, c in enumerate(case[1])) % p for x in range(p)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((5, 7)).flatmap(_rootless_squarefree_monic))
+def test_distinct_degree_rootless_skips_only_the_degree_1_gcd(case):
+    # f squarefree with no root mod p: rootless=True gives the same split,
+    # with one gcd fewer
+    p, f = case
+    calls = []
+    pgcd_ints = gf._pgcd_ints
+
+    def counted(*args):
+        calls.append(args)
+        return pgcd_ints(*args)
+
+    gf._pgcd_ints = counted
+    try:
+        plain = distinct_degree(PrimeField(p), f)
+        n_plain = len(calls)
+        rootless = distinct_degree(PrimeField(p), f, rootless=True)
+    finally:
+        gf._pgcd_ints = pgcd_ints
+    assert rootless == plain == _reference_distinct_degree(p, f)
+    assert len(calls) - n_plain == n_plain - 1, (p, f)  # no gcd at d = 1
+
+
 def _reference_certificate(a, b):
     """irreducibility_certificate as it was built before p = 2 and 3 were
     read from gf.factor: one reference distinct-degree pass per prime."""

@@ -345,6 +345,75 @@ def test_coeff_val():
     assert coeff_val(3, (5,)) == 0
 
 
+# entries m * p^k: zero, negative, and of more than 300 digits
+ENTRY = st.tuples(
+    st.one_of(st.just(0), st.integers(-(10**45), 10**45),
+              st.builds(lambda m, s: s * m, st.integers(10**300, 10**320), st.sampled_from((-1, 1)))),
+    st.integers(0, 60),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5, 7)), st.lists(ENTRY, max_size=6))
+def test_coeff_val_matches_the_minimum_valuation(p, entries):
+    c = tuple(m * p**k for m, k in entries)
+    expected = min((val(p, x) for x in c if x), default=INFINITY)
+    got = coeff_val(p, c)
+    assert got == expected and type(got) is type(expected), (p, c)
+
+
+def _brute_lattice_count(vertices) -> int:
+    """Points (i, j), i >= 1, j >= 1, on or below the polygon through the
+    vertices, over the columns it spans, by testing every j."""
+    count = 0
+    segments = list(zip(vertices, vertices[1:]))
+    for i in range(max(vertices[0][0], 1), vertices[-1][0] + 1) if segments else ():
+        (xa, ya), (xb, yb) = next(s for s in segments if s[0][0] <= i <= s[1][0])
+        j = 1
+        while j * (xb - xa) <= ya * (xb - xa) - (i - xa) * (ya - yb):
+            count += 1
+            j += 1
+    return count
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 14), st.integers(-3, 20), min_size=1, max_size=12))
+def test_lattice_index_matches_a_brute_force_count(heights):
+    poly = principal_polygon(list(heights.items()))
+    assert lattice_index(poly) == _brute_lattice_count(poly.vertices), poly
+
+
+def _engine_records():
+    # two linear lifts, and x^2 + x + 1 mod 2, whose residue field is an ExtField
+    records = []
+    for a, b, p, phi in ((5, 2, 2, (-1, 1)), (54, 35, 3, (-1, 1)), (2, 1, 2, (1, 1, 1))):
+        an = analyze_phi(trinomial(a, b), p, phi)
+        records += [an, an.polygon, *an.polygon.sides, *an.sides]
+    res = ore_analyze(trinomial(5, 2), 2)
+    return records + [res, res.splitting]
+
+
+def test_engine_records_are_immutable_and_hashable():
+    records = _engine_records()
+    kinds = {type(r).__name__ for r in records}
+    assert kinds == {"Side", "NewtonPolygon", "SideData", "PhiAnalysis", "Splitting", "OreResult"}
+    assert any(type(sd.field).__name__ == "ExtField" for sd in records if hasattr(sd, "residual"))
+    for record in records:
+        hash(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_splitting_is_a_dict_key_and_keeps_its_str():
+    s = Splitting.of([(7, 1), (1, 1), (1, 1)])
+    assert str(s) == "(1,1) (1,1) (7,1)"
+    table = {s: "first"}
+    assert table[Splitting.of([(1, 1), (7, 1), (1, 1)])] == "first"
+    assert Splitting.of([(1, 2), (2, 1)]) not in table
+    assert str(Splitting.of([(1, 9)])) == "(1,9)"
+
+
 def test_residue_fields_match_checked_construction():
     # residue_field trusts gf.factor; every factor of a trinomial mod p
     # (all residues of a, b, which covers |a|, |b| <= 64) passes the check
