@@ -483,7 +483,7 @@ def distinct_degree(F, f, *, rootless: bool = False):
     return out
 
 
-def _distinct_degree_ints(p: int, f, rootless: bool = False):
+def _distinct_degree_ints(p: int, f, rootless: bool):
     """distinct_degree over F_p, on plain int lists.
 
     w -> w^p mod f is linear over F_p, so w^p is a combination of the rows
