@@ -3,19 +3,20 @@
 Polynomials are tuples of field elements, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
-ints.  Over F_p (F.degree == 1), pmul and pdivmod work on plain ints,
-reducing mod p once per coefficient, and go through the field's add/mul
-only over extensions; pmod is a remainder-only loop on plain ints that
-never builds a quotient, and pgcd is Euclid's algorithm in place on int
-lists.  ppowmod and ExtField.mul are built on them.  Over F_p,
-distinct_degree is one pass on int lists: it takes each next Frobenius
-power as one product with a matrix built once per polynomial, whose rows
-are, while p < deg f, shifts by p reduced with f's nonzero coefficients,
-and takes each step's gcd with the same Euclid.  Everything is deterministic:
-factor() returns a linear input as it is, and otherwise uses squarefree
-splitting, then distinct-degree splitting, then equal-degree splitting by
-exhaustive search over the q^d monic candidates of the factor degree d;
-it divides out multiplicities only when the input is not squarefree.
+ints.  Over F_p (F.degree == 1), pmul and the division routines work on
+plain ints, reducing mod p once per coefficient, and go through the
+field's add/mul only over extensions.  One in-place remainder loop on int
+lists, _rem_ints, serves pdivmod, which also collects the quotient, pmod,
+which builds none, and pgcd's Euclid; ppowmod and ExtField.mul are built
+on them.  Over F_p, distinct_degree is one pass on int lists: it takes
+each next Frobenius power as one product with a matrix built once per
+polynomial, whose rows are, while p < deg f, shifts by p reduced with f's
+nonzero coefficients, and takes each step's gcd with the same Euclid.
+Everything is deterministic: factor() returns a linear input as it is,
+and otherwise uses squarefree splitting, then distinct-degree splitting,
+then equal-degree splitting by exhaustive search over the q^d monic
+candidates of the factor degree d; it divides out multiplicities only
+when the input is not squarefree.
 That is fine for the operating envelope: F mod p has degree 9, and a
 residual polynomial over F_q = F_p[x]/(phi) has degree at most
 9 / deg(phi), so the search tries at most p^4 candidates, 2,401 at p = 7,
@@ -30,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import _SMALL_PRIME_SET, is_prime
+from .arith import _SMALL_PRIME_SET, is_prime, trial_divide
 
 
 def ztrim(c) -> tuple:
@@ -275,53 +276,46 @@ def pdivmod(F, f, g) -> tuple:
 
 
 def _pdivmod_ints(p: int, f, g) -> tuple:
-    """pdivmod over F_p on plain ints, reduced mod p once per coefficient."""
-    f, g = ztrim(f), ztrim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    m = len(g)
-    if len(f) < m:
-        return (), f
-    lead_inv = pow(g[-1], -1, p)
-    rem = list(f)
-    quo = [0] * (len(f) - m + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + m - 1] * lead_inv % p
-        quo[i] = c
-        if c:
-            for j, y in enumerate(g):
-                rem[i + j] -= c * y
-    return ztrim(quo), ztrim([c % p for c in rem[: m - 1]])
+    """pdivmod over F_p on plain ints."""
+    quo = []
+    rem = _rem_ints(p, list(f), g, quo)
+    return ztrim(quo[::-1]), tuple(rem)
 
 
 def pmod(F, f, g) -> tuple:
     if F.degree == 1:
-        return _pmod_ints(F.p, f, g)
+        return tuple(_rem_ints(F.p, list(f), g))  # no quotient built
     return pdivmod(F, f, g)[1]
 
 
-def _pmod_ints(p: int, f, g) -> tuple:
-    """The remainder of _pdivmod_ints, with no quotient built."""
-    m = len(g)
-    while m and not g[m - 1]:
+def _rem_ints(p: int, f: list, g, quo=None) -> list:
+    """f mod g over F_p, as a trimmed list of ints in [0, p), for a list f
+    of ints, which it consumes, and a nonzero g, trailing zeros allowed.
+
+    The division runs in place in f, using only g's nonzero low
+    coefficients, and takes each coefficient mod p once, at the end.  When
+    quo is a list, the quotient's coefficients are appended to it, highest
+    first.
+    """
+    m = len(g) - 1
+    while m >= 0 and not g[m]:
         m -= 1
-    if not m:
+    if m < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(f) < m:
-        rem = [c % p for c in f]
-    else:
-        lead_inv = pow(g[m - 1], -1, p)
-        low = [(j, y) for j, y in enumerate(g[: m - 1]) if y]
-        rem = list(f)
-        for i in range(len(rem) - m, -1, -1):
-            c = rem[i + m - 1] * lead_inv % p
+    if len(f) > m:
+        lead_inv = pow(g[m], -1, p)
+        low = [(j, y) for j, y in enumerate(g[:m]) if y]
+        for i in range(len(f) - m - 1, -1, -1):
+            c = f[i + m] * lead_inv % p
+            if quo is not None:
+                quo.append(c)
             if c:
                 for j, y in low:
-                    rem[i + j] -= c * y
-        rem = [c % p for c in rem[: m - 1]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return tuple(rem)
+                    f[i + j] -= c * y
+    f = [c % p for c in f[:m]]
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def pmonic(F, f) -> tuple:
@@ -347,22 +341,9 @@ def pgcd(F, f, g) -> tuple:
 
 def _pgcd_ints(p: int, f: list, g: list) -> tuple:
     """Monic gcd over F_p of two trimmed lists of ints in [0, p), which it
-    consumes: Euclid's algorithm with each remainder taken in place in the
-    list it replaces, using only the divisor's nonzero low coefficients."""
+    consumes: Euclid's algorithm, each remainder taken by _rem_ints."""
     while g:
-        m = len(g) - 1
-        if len(f) > m:
-            lead_inv = pow(g[m], -1, p)
-            low = [(j, y) for j, y in enumerate(g[:m]) if y]
-            for i in range(len(f) - m - 1, -1, -1):
-                c = f[i + m] * lead_inv % p
-                if c:
-                    for j, y in low:
-                        f[i + j] -= c * y
-            f = [c % p for c in f[:m]]
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
+        f, g = g, _rem_ints(p, f, g)
     if not f:
         return ()
     lead_inv = pow(f[-1], -1, p)
@@ -412,20 +393,6 @@ def is_irreducible(F, f) -> bool:
     if not df or pdeg(pgcd(F, f, df)) > 0:
         return False
     return distinct_degree(F, f) == [(f, n)]
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _pth_root_poly(F, f) -> tuple:
@@ -500,7 +467,7 @@ def _distinct_degree_ints(p: int, f, rootless: bool):
     if n >= 2:
         low = [(j, y) for j, y in enumerate(f[:n]) if y]
 
-        def reduce(acc):  # acc mod the monic f, as a list of length n
+        def reduce(acc):  # acc mod monic f, length n; _rem_ints would rebuild low per call
             for i in range(len(acc) - n - 1, -1, -1):
                 c = acc[i + n] % p
                 if c:
@@ -537,7 +504,7 @@ def _distinct_degree_ints(p: int, f, rootless: bool):
             if len(g) > 1:
                 out.append((g, d))
                 rem = _pdivmod_ints(p, rem, g)[0]
-                w = _pmod_ints(p, w, rem)
+                w = _rem_ints(p, w, rem)
     if len(rem) > 1:
         out.append((rem, len(rem) - 1))
     return out
@@ -627,12 +594,11 @@ def reduce_mod_p(coeffs, p: int) -> tuple:
 
 
 def _mobius(n: int) -> int:
-    mu = 1
-    for q in _prime_divisors(n):
-        if n % (q * q) == 0:
-            return 0
-        mu = -mu
-    return mu
+    factors = {}
+    rest = trial_divide(n, factors)  # a prime rest > 1 is not in factors
+    if any(e > 1 for e in factors.values()):
+        return 0
+    return (-1) ** (len(factors) + (rest > 1))
 
 
 @lru_cache(maxsize=256)

@@ -38,6 +38,7 @@ from .polygon import (
     NotRegularError,
     Splitting,
     ore_analyze,
+    phi_expand,
     trinomial,
     zeval,
 )
@@ -375,6 +376,11 @@ class PrimeEntry:
 
 _S = Splitting.of
 
+
+def _entry(p: int, split: Splitting, rule: str, *warnings: str) -> PrimeEntry:
+    """The entry whose exact valuation the Engstrom lookup reads off split."""
+    return PrimeEntry(p, nu_lookup(split, p), split, rule, warnings)
+
 # splitting shorthands shared by several rules
 _TOTALLY_RAMIFIED = _S([(9, 1)])
 _RAMIFIED_3_3 = _S([(3, 1), (3, 2)])
@@ -444,14 +450,12 @@ def _table_entry(a, b, table, tag):
     for modulus, classes, splitting in table:
         cell = (a % modulus, b % modulus)
         if cell in classes:
-            warnings = ()
-            if tag == "a6" and cell == (576 % 1024, 512 % 1024) and modulus == 1024:
-                warnings = (
-                    "class (576,512) mod 1024: source row printed as (566,512), "
-                    "encoded with the congruence-consistent 576",
-                )
             rule = f"2:{tag}:{cell[0]},{cell[1]}m{modulus}"
-            return PrimeEntry(2, nu_lookup(splitting, 2), splitting, rule, warnings)
+            if tag == "a6" and cell == (576 % 1024, 512 % 1024) and modulus == 1024:
+                return _entry(2, splitting, rule,
+                              "class (576,512) mod 1024: source row printed as (566,512), "
+                              "encoded with the congruence-consistent 576")
+            return _entry(2, splitting, rule)
     raise Unclassified(f"no {tag} row matches ({_show(a)}, {_show(b)})")
 
 
@@ -480,21 +484,15 @@ def _unramified_split(F, p: int) -> Splitting:
     it, raises ExactDivisorError when a naive lift psi other than F itself
     (p inert) divides F over Z.  A lift psi has coefficients in [0, p) and
     degree >= 1, so psi(2) >= 2, and psi | F gives psi(2) | F(2): only a
-    psi that passes this test is divided into F.
+    psi that passes this test is divided into F, as the first digit of
+    phi_expand(F, psi), which is F mod psi over Z.
     """
     pairs = []
     f2 = zeval(F, 2)
     for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
-        m = gf.pdeg(psi)
-        if psi != F and f2 % zeval(psi, 2) == 0:
-            rem = list(F)  # F mod psi over Z (psi is monic), one division of phi_expand's many
-            for i in range(len(rem) - 1, m - 1, -1):
-                if c := rem[i]:
-                    for j in range(m):
-                        rem[i - m + j] -= c * psi[j]
-            if not any(rem[:m]):
-                raise ExactDivisorError("phi divides F exactly; F is reducible")
-        pairs.append((1, m))
+        if psi != F and f2 % zeval(psi, 2) == 0 and not phi_expand(F, psi)[0]:
+            raise ExactDivisorError("phi divides F exactly; F is reducible")
+        pairs.append((1, gf.pdeg(psi)))
     return Splitting.of(pairs)
 
 
@@ -508,22 +506,18 @@ def nu2(a: int, b: int) -> PrimeEntry:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if b % 2:
-        split = _unramified_split(F, 2)
-        return PrimeEntry(2, nu_lookup(split, 2), split, "2:unit-b")
+        return _entry(2, _unramified_split(F, 2), "2:unit-b")
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
     if va >= 1:
         if 8 * vb < 9 * va:
             if gcd(int(vb), 9) == 1:
-                return PrimeEntry(2, nu_lookup(_TOTALLY_RAMIFIED, 2), _TOTALLY_RAMIFIED,
-                                  f"2:x:one-side:d1:vb={vb}")
-            split = _RAMIFIED_3_3
-            return PrimeEntry(2, nu_lookup(split, 2), split, f"2:x:one-side:d3:vb={vb}")
+                return _entry(2, _TOTALLY_RAMIFIED, f"2:x:one-side:d1:vb={vb}")
+            return _entry(2, _RAMIFIED_3_3, f"2:x:one-side:d3:vb={vb}")
         d = gcd(int(va), 8)
         if d == 1:
-            return PrimeEntry(2, nu_lookup(_ONE_EIGHT, 2), _ONE_EIGHT,
-                              f"2:x:two-sides:d1:va={va}")
+            return _entry(2, _ONE_EIGHT, f"2:x:two-sides:d1:va={va}")
         if va == 2:
             return _table_entry(a, b, _TABLE_A2, "a2")
         if va == 4:
@@ -534,41 +528,30 @@ def nu2(a: int, b: int) -> PrimeEntry:
     # a odd, b even: the polygon sits over the lift of x - 1
     w0, w1 = val(2, a + b + 1), val(2, a + 9)
     if w0 == 1:
-        return PrimeEntry(2, nu_lookup(_ONE_EIGHT, 2), _ONE_EIGHT, "2:lin:(1,0)|(3,2)m4")
+        return _entry(2, _ONE_EIGHT, "2:lin:(1,0)|(3,2)m4")
     if w1 == 1:
-        split = _THREE_LINEAR_7
-        return PrimeEntry(2, nu_lookup(split, 2), split, "2:lin:(1,2)m4")
+        return _entry(2, _THREE_LINEAR_7, "2:lin:(1,2)m4")
     if w0 == 2:
-        return PrimeEntry(2, nu_lookup(_QUARTIC_F2, 2), _QUARTIC_F2,
-                          "2:lin:(3,0)|(7,4)m8")
+        return _entry(2, _QUARTIC_F2, "2:lin:(3,0)|(7,4)m8")
     if w1 == 2:
-        split = _T3_DIVIDING
-        return PrimeEntry(2, nu_lookup(split, 2), split, "2:lin:(3,4)m8")
+        return _entry(2, _T3_DIVIDING, "2:lin:(3,4)m8")
     if w0 == 3:
-        return PrimeEntry(2, nu_lookup(_T3_QUAD, 2), _T3_QUAD,
-                          "2:lin:(7,0)|(15,8)m16")
+        return _entry(2, _T3_QUAD, "2:lin:(7,0)|(15,8)m16")
     if w1 == 3:
-        split = _SHAPE_QUAD if w0 == 4 else _SHAPE_FIVE
-        return PrimeEntry(
-            2, nu_lookup(split, 2), split,
-            f"2:lin:(15,0)m16:w0={'4' if w0 == 4 else '5+'}",
-            warnings=(
-                "class (15,0) mod 16: the source table's splitting row is "
-                "unreachable for this class; splitting taken from the polygon",
-            ),
-        )
+        return _entry(2, _SHAPE_QUAD if w0 == 4 else _SHAPE_FIVE,
+                      f"2:lin:(15,0)m16:w0={'4' if w0 == 4 else '5+'}",
+                      "class (15,0) mod 16: the source table's splitting row is "
+                      "unreachable for this class; splitting taken from the polygon")
     # w0 >= 4 and w1 >= 4, i.e. (a,b) = (7,8) mod 16: two-step shift territory
     v = val(2, disc(a, b))
     if v % 2:
-        split = _SHAPE_EXACT3
-        return PrimeEntry(2, nu_lookup(split, 2), split, "2:lin:(7,8)m16:vodd")
+        return _entry(2, _SHAPE_EXACT3, "2:lin:(7,8)m16:vodd")
     u8 = delta_unit(a, b, 2) % 8
     if v == 28:
         shape = {1: _SHAPE_FIVE, 5: _SHAPE_QUAD, 3: _SHAPE_EXACT3, 7: _SHAPE_EXACT3}[u8]
     else:
         shape = {7: _SHAPE_FIVE, 3: _SHAPE_QUAD, 1: _SHAPE_EXACT3, 5: _SHAPE_EXACT3}[u8]
-    rule = f"2:lin:(7,8)m16:v={'28' if v == 28 else '30+'}:D2={u8}m8"
-    return PrimeEntry(2, nu_lookup(shape, 2), shape, rule)
+    return _entry(2, shape, f"2:lin:(7,8)m16:v={'28' if v == 28 else '30+'}:D2={u8}m8")
 
 
 _NU3_DEEP_SHAPES = {
@@ -589,16 +572,14 @@ def nu3(a: int, b: int) -> PrimeEntry:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if a % 3:
-        split = _unramified_split(F, 3)
-        return PrimeEntry(3, nu_lookup(split, 3), split, "3:unit-a")
+        return _entry(3, _unramified_split(F, 3), "3:unit-a")
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
         if va >= 8 and vb >= 9:
             raise ValueError("input not normalized at 3")
         if 8 * vb < 9 * va:
             if gcd(int(vb), 9) == 1:
-                return PrimeEntry(3, nu_lookup(_TOTALLY_RAMIFIED, 3), _TOTALLY_RAMIFIED,
-                                  f"3:x:one-side:d1:vb={vb}")
+                return _entry(3, _TOTALLY_RAMIFIED, f"3:x:one-side:d1:vb={vb}")
             # slope -vb/9 with e = 3: every ramification index above 3 is a
             # multiple of 3, so at most three primes of residue degree 1 and
             # one of degree 2 can occur; 3 never divides i(K) here.  The
@@ -609,35 +590,28 @@ def nu3(a: int, b: int) -> PrimeEntry:
                               warnings=("splitting needs data beyond this engine",))
         d = gcd(int(va), 8)
         if d == 1:
-            return PrimeEntry(3, nu_lookup(_ONE_EIGHT, 3), _ONE_EIGHT,
-                              f"3:x:two-sides:d1:va={va}")
-        split = ore_analyze(F, 3).splitting
-        return PrimeEntry(3, nu_lookup(split, 3), split, f"3:x:two-sides:d{d}:va={va}")
+            return _entry(3, _ONE_EIGHT, f"3:x:two-sides:d1:va={va}")
+        return _entry(3, ore_analyze(F, 3).splitting, f"3:x:two-sides:d{d}:va={va}")
     # 3 | a, 3 does not divide b: the reduction is (x - s)^9 with s = -b mod 3
     s = 1 if b % 3 == 2 else -1
     w0, w1 = val(3, zeval(F, s)), val(3, a + 9)
     tag = f"3:lin{'+' if s == 1 else '-'}"
     if w0 == 1:
-        return PrimeEntry(3, nu_lookup(_TOTALLY_RAMIFIED, 3), _TOTALLY_RAMIFIED, f"{tag}:w0=1")
+        return _entry(3, _TOTALLY_RAMIFIED, f"{tag}:w0=1")
     if w1 == 1:
-        return PrimeEntry(3, nu_lookup(_ONE_EIGHT, 3), _ONE_EIGHT, f"{tag}:w1=1")
+        return _entry(3, _ONE_EIGHT, f"{tag}:w1=1")
     if w0 == 2:
-        split = _S([(3, 1), (6, 1)])
-        return PrimeEntry(3, nu_lookup(split, 3), split, f"{tag}:w0=2")
+        return _entry(3, _S([(3, 1), (6, 1)]), f"{tag}:w0=2")
     if w1 == 2:
-        split = _S([(1, 1), (2, 1), (6, 1)])
-        return PrimeEntry(3, nu_lookup(split, 3), split, f"{tag}:w1=2")
+        return _entry(3, _S([(1, 1), (2, 1), (6, 1)]), f"{tag}:w1=2")
     if w0 == 3:
-        split = _S([(3, 1), (6, 1)])
-        return PrimeEntry(3, nu_lookup(split, 3), split, f"{tag}:w0=3")
+        return _entry(3, _S([(3, 1), (6, 1)]), f"{tag}:w0=3")
     # w0 >= 4, w1 >= 3: residual factorization decides, or the critical
     # shift when the naive lift is irregular
     phibar = gf.ptrim(((-s) % 3, 1))
     try:
-        res = ore_analyze(F, 3, overrides={phibar: (-s, 1)})
-        split = res.splitting
-        return PrimeEntry(3, nu_lookup(split, 3), split,
-                          f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
+        return _entry(3, ore_analyze(F, 3, overrides={phibar: (-s, 1)}).splitting,
+                      f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
     except NotRegularError:
         pass
     v = val(3, disc(a, b))
@@ -654,8 +628,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
         raise Unclassified(
             f"shifted polygon gave {deep.splitting}, expected {shape}"
         )  # pragma: no cover
-    return PrimeEntry(3, nu_lookup(shape, 3), shape,
-                      f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:deep:{sub}")
+    return _entry(3, shape, f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:deep:{sub}")
 
 
 def _fmt_w(w) -> str:

@@ -85,6 +85,9 @@ def test_count_monic_irreducible_values():
     assert count_monic_irreducible(2, 3) == 2  # enumeration of the 8 monic cubics
     assert count_monic_irreducible(2, 2) == 1
     assert count_monic_irreducible(11, 1) == 11
+    # composite and square-divisible degrees: mu(6) = +1, mu(4) = mu(8) = mu(9) = 0
+    assert [count_monic_irreducible(2, f) for f in range(5, 10)] == [6, 9, 18, 30, 56]
+    assert count_monic_irreducible(3, 6) == 116
 
 
 def test_count_matches_enumeration():
@@ -252,6 +255,7 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
         return
     quo, rem = gf_div(_to_sympy(f), _to_sympy(g), p, ZZ)
     assert pdivmod(field, f, g) == (_from_sympy(quo, p), _from_sympy(rem, p))
+    assert pdivmod(field, f + (0, 0), g + (0,)) == (_from_sympy(quo, p), _from_sympy(rem, p))
     assert pmod(field, f, g) == _from_sympy(rem, p)
     assert pmod(field, f + (0, 0), g + (0,)) == _from_sympy(rem, p)  # untrimmed
     expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
