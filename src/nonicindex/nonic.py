@@ -37,8 +37,8 @@ from .polygon import (
     ExactDivisorError,
     NotRegularError,
     Splitting,
+    _expansion,
     ore_analyze,
-    phi_expand,
     trinomial,
     zeval,
 )
@@ -484,13 +484,14 @@ def _unramified_split(F, p: int) -> Splitting:
     it, raises ExactDivisorError when a naive lift psi other than F itself
     (p inert) divides F over Z.  A lift psi has coefficients in [0, p) and
     degree >= 1, so psi(2) >= 2, and psi | F gives psi(2) | F(2): only a
-    psi that passes this test is divided into F, as the first digit of
-    phi_expand(F, psi), which is F mod psi over Z.
+    psi that passes this test is divided into F: F mod psi over Z is the
+    first digit of F's psi-adic expansion, that of x^9 (cached per psi)
+    plus ax + b.
     """
     pairs = []
     f2 = zeval(F, 2)
     for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
-        if psi != F and f2 % zeval(psi, 2) == 0 and not phi_expand(F, psi)[0]:
+        if psi != F and f2 % zeval(psi, 2) == 0 and not _expansion(F, p, psi)[0][0]:
             raise ExactDivisorError("phi divides F exactly; F is reducible")
         pairs.append((1, gf.pdeg(psi)))
     return Splitting.of(pairs)

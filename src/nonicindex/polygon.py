@@ -13,10 +13,21 @@ first-order case the classifier needs.  Anything else raises NotRegular.
 Integer polynomials are tuples of ints, lowest degree first.  The records
 (Side, NewtonPolygon, SideData, PhiAnalysis, Splitting, OreResult) are
 NamedTuples: immutable and hashable, and cheap to build once per lift.
+
+Two bounded caches hold what a lift determines apart from F.  The
+phi-adic expansion is linear in F, so for F = x^n + ax + b the digits of
+x^n and their valuations, keyed on (n, phi, p), serve every a and b, and
+ax + b changes only digit 0, or digits 0 and 1 when phi = x - s.  The
+principal polygon and its lattice count depend only on the valuations,
+and are keyed on that tuple.  Neither is keyed on F, a or b: such a
+cache would save work only when the same trinomial comes again, as in a
+seeded sweep run twice, and none on new inputs.  The cached values are
+tuples and NamedTuples, never edited.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -115,6 +126,41 @@ def coeff_val(p: int, c) -> int | float:
     return best
 
 
+@lru_cache(maxsize=256)
+def _power_digits(n: int, phi: tuple, p: int) -> tuple:
+    """(digits, valuations) of the phi-adic expansion of x^n, as tuples."""
+    digits = tuple(phi_expand((0,) * n + (1,), phi))
+    return digits, tuple(coeff_val(p, c) for c in digits)
+
+
+def _expansion(F, p: int, phi: tuple) -> tuple:
+    """(digits, valuations) of phi_expand(F, phi), as tuples.
+
+    For F = x^n + ax + b with n >= 2 they are x^n's, from _power_digits,
+    with ax + b added: to digit 0 when deg phi >= 2, and as
+    a*(x - s) + (b + a*s) to digits 1 and 0 when phi = x - s.  Only the
+    digits that change have their valuations taken again.  Any other F is
+    expanded in full.
+    """
+    n = len(F) - 1
+    if n < 2 or F[n] != 1 or any(F[2:n]):
+        exp = tuple(phi_expand(F, phi))
+        return exp, tuple(coeff_val(p, c) for c in exp)
+    b, a = F[0], F[1]
+    digits, vals = _power_digits(n, phi, p)
+    if len(phi) == 2:
+        c0 = (digits[0] or (0,))[0] + b - a * phi[0]
+        c1 = (digits[1] or (0,))[0] + a
+        low = ((c0,) if c0 else (), (c1,) if c1 else ())
+    else:
+        d0 = list(digits[0]) + [0] * (2 - len(digits[0]))
+        d0[0] += b
+        d0[1] += a
+        low = (ztrim(d0),)
+    k = len(low)
+    return low + digits[k:], tuple(coeff_val(p, c) for c in low) + vals[k:]
+
+
 # ---------------------------------------------------------------------------
 # principal polygon
 
@@ -130,10 +176,6 @@ class Side(NamedTuple):
     e: int
     length: int
     degree: int
-
-    def height_num(self, i: int) -> int:
-        """e * (height of the side above x = i)."""
-        return self.y0 * self.e - (i - self.x0) * self.h
 
 
 class NewtonPolygon(NamedTuple):
@@ -195,6 +237,13 @@ def lattice_index(polygon: NewtonPolygon) -> int:
     if polygon.sides and polygon.sides[0].x0 >= 1:
         total += max(0, polygon.sides[0].y0)
     return total
+
+
+@lru_cache(maxsize=1024)
+def _polygon_and_count(vals: tuple) -> tuple:
+    """(principal polygon, lattice count) of an expansion's valuations."""
+    polygon = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
+    return polygon, lattice_index(polygon)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +316,11 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     phi must reduce mod p to an irreducible polynomial, such as a factor
     that gf.factor returned: its residue field is built once, on that trust.
     """
-    exp = phi_expand(F, phi)
-    vals = tuple(coeff_val(p, c) for c in exp)
+    phi = tuple(phi)
+    exp, vals = _expansion(F, p, phi)
     if vals[0] == INFINITY:
         raise ExactDivisorError("phi divides F exactly; F is reducible")
-    polygon = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
+    polygon, count = _polygon_and_count(vals)
     field = residue_field(p, gf.reduce_mod_p(phi, p))
     sides = []
     for side in polygon.sides:
@@ -281,12 +330,12 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
                      factorization=gf.factor(field, res))
         )
     return PhiAnalysis(
-        phi=tuple(phi),
+        phi=phi,
         p=p,
         expansion_vals=vals,
         polygon=polygon,
         sides=tuple(sides),
-        index=pdeg(phi) * lattice_index(polygon),
+        index=pdeg(phi) * count,
         regular=all(sd.squarefree for sd in sides),
     )
 

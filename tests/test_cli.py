@@ -5,6 +5,7 @@ import pytest
 
 from nonicindex.cli import EXIT_MISMATCH, EXIT_OK, EXIT_REDUCIBLE, main
 from nonicindex.nonic import classify
+from test_verify import plant_wrong_engine
 
 
 def run(capsys, *argv):
@@ -147,6 +148,14 @@ def test_verify_agreement_suite(capsys):
                        "--modulus", "5")
     assert code == EXIT_OK
     assert "0 mismatches" in out
+
+
+def test_verify_agreement_suite_exits_on_a_planted_mismatch(capsys, monkeypatch):
+    plant_wrong_engine(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "agreement", "--prime", "2",
+                       "--modulus", "16")
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH {" in out
 
 
 def test_verify_agreement_suite_over_inert_lifts(capsys):

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from nonicindex import gf
 from nonicindex.arith import INFINITY, val
 from nonicindex.gf import ztrim
-from nonicindex.nonic import disc
+from nonicindex.nonic import critical_shift, disc
 from nonicindex.polygon import (
+    ExactDivisorError,
     NotRegularError,
     Splitting,
+    _expansion,
+    _power_digits,
     analyze_phi,
+    analyze_phi_refined,
     coeff_val,
     dedekind_divides,
     is_p_regular,
@@ -141,7 +145,7 @@ def test_hull_validity_random():
             for (x, y) in pts:
                 if side.x0 <= x <= side.x1:
                     # e*y >= e*height(x), integer arithmetic only
-                    assert side.e * y >= side.height_num(x)
+                    assert side.e * y >= side.y0 * side.e - (x - side.x0) * side.h
         for v in poly.vertices:
             assert v in pts
 
@@ -424,3 +428,56 @@ def test_residue_fields_match_checked_construction():
                 for phibar, _m in gf.factor(field, gf.reduce_mod_p(trinomial(a, b), p)).factors:
                     if gf.pdeg(phibar) >= 2:
                         assert gf.ExtField(p, phibar) == residue_field(p, phibar)
+
+
+def _full_expansion(F, p, phi):
+    exp = phi_expand(F, phi)
+    return tuple(exp), tuple(coeff_val(p, c) for c in exp)
+
+
+def _lifts(a, b, p):
+    """Naive lifts of every factor of F mod p, their refinements, and the
+    critical-shift lift x - u when it is p-integral."""
+    F = trinomial(a, b)
+    lifts = []
+    for phibar, _m in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
+        lifts.append(phibar)
+        try:
+            lifts.append(analyze_phi_refined(F, p, phibar).phi)
+        except ExactDivisorError:
+            pass
+    d = disc(a, b)
+    if d:
+        try:
+            lifts.append(ztrim((-critical_shift(a, b, p, val(p, d) + 10), 1)))
+        except ValueError:
+            pass
+    return lifts
+
+
+HUGE = st.one_of(
+    st.integers(-(10**45), 10**45),
+    st.builds(_signed, st.integers(309, 420), st.integers(0, 10**420), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(HUGE, HUGE, st.sampled_from((2, 3, 5, 7)), SCALE, SCALE,
+       st.lists(st.integers(-50, 50), min_size=9, max_size=9))
+def test_cached_expansion_matches_phi_expand(a, b, p, ka, kb, low):
+    # the digits of x^9 come from the cache and ax + b is added; naive,
+    # refined and shifted lifts, a degree-9 lift other than F, and an F
+    # that is no trinomial (which must not touch the x^n cache) all give
+    # phi_expand's digits and coeff_val's valuations
+    a, b = a * p**ka, b * p**kb
+    F = trinomial(a, b)
+    lifts = _lifts(a, b, p)
+    for phi in lifts + [tuple(low) + (1,)]:
+        assert _expansion(F, p, phi) == _full_expansion(F, p, phi), (a, b, p, phi)
+    k = 2 + low[1] % 7  # a term x^k, 2 <= k <= 8, makes F no trinomial
+    G = F[:k] + (low[0] or 1,) + F[k + 1:]
+    before = _power_digits.cache_info()
+    for phi in lifts:
+        assert _expansion(G, p, phi) == _full_expansion(G, p, phi)
+    after = _power_digits.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

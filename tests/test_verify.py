@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nonicindex import polygon, verify
 from nonicindex.nonic import Certificate, disc, irreducibility_certificate, is_normalized
 from nonicindex.verify import (
     KNOWN_EXAMPLES,
@@ -107,3 +108,44 @@ def test_seeded_reproducibility():
     r1 = sweep_agreement(3, 9, 2, seed=77, class_filter=lambda a, b: a % 3 == 0)
     r2 = sweep_agreement(3, 9, 2, seed=77, class_filter=lambda a, b: a % 3 == 0)
     assert r1.rows == r2.rows
+
+
+POLYGON_CACHES = (polygon._power_digits, polygon._polygon_and_count)
+
+
+def test_polygon_caches_change_no_sweep_row():
+    assert all(cache.cache_info().maxsize for cache in POLYGON_CACHES)
+    for p, modulus in ((2, 16), (3, 27)):
+        for cache in POLYGON_CACHES:
+            cache.cache_clear()
+        cold = sweep_agreement(p, modulus, 2, seed=2111).rows
+        assert all(cache.cache_info().currsize for cache in POLYGON_CACHES)
+        assert sweep_agreement(p, modulus, 2, seed=2111).rows == cold
+
+
+NINE = polygon.Splitting.of([(1, 1)] * 9)
+
+
+def plant_wrong_engine(monkeypatch):
+    """verify.engine_split answers that p splits into nine primes of degree
+    1, which no p < 9 can do: F_p has only p monic linear polynomials."""
+    real = verify.engine_split
+
+    def wrong(a, b, p):
+        return real(a, b, p)._replace(splitting=NINE)
+
+    monkeypatch.setattr(verify, "engine_split", wrong)
+
+
+def test_sweep_agreement_reports_a_planted_mismatch(monkeypatch):
+    plant_wrong_engine(monkeypatch)
+    rep = sweep_agreement(2, 16, 1, seed=1)
+    assert not rep.ok
+    assert rep.total == 256 and len(rep.mismatches) == 256 - len(rep.skipped)
+    assert all(m.get("engine_divides") or m.get("engine_splitting") == str(NINE)
+               for m in rep.mismatches)
+    assert any("engine_divides" in m for m in rep.mismatches)
+    assert [row[6] for row in rep.rows].count("mismatch") == len(rep.mismatches)
+    rep = sweep_agreement(5, 5, 1, seed=1)
+    assert len(rep.mismatches) == rep.total == 25
+    assert all(m["residue_degrees_over_bound"] == [1] for m in rep.mismatches)
