@@ -23,7 +23,6 @@ from .polygon import (
     dedekind_divides,
     is_p_regular,
     ore_analyze,
-    ore_split,
     trinomial,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "nu3",
     "nu_lookup",
     "ore_analyze",
-    "ore_split",
     "trinomial",
     "unit_part",
     "val",

@@ -12,14 +12,8 @@ import json
 import sys
 
 from . import gf
-from .arith import is_prime, val
-from .nonic import (
-    ReduciblePolynomial,
-    Unclassified,
-    classify,
-    critical_shift,
-    disc,
-)
+from .arith import is_prime
+from .nonic import ReduciblePolynomial, Unclassified, classify, critical_lift
 from .polygon import ExactDivisorError, analyze_phi, trinomial
 from .verify import CSV_HEADER, DEFAULT_SEED, check_sweep_options, run_suite
 
@@ -96,12 +90,7 @@ def _build_phi(args) -> tuple:
         return (-1, 1)
     if args.phi == "x+1":
         return (1, 1)
-    d = disc(args.a, args.b)
-    if d == 0:
-        raise ReduciblePolynomial("discriminant is zero")
-    precision = int(val(args.p, d)) + 10
-    u = critical_shift(args.a, args.b, args.p, precision)
-    return gf.ztrim((-u, 1))
+    return critical_lift(args.a, args.b, args.p)
 
 
 def _cmd_polygon(args) -> int:

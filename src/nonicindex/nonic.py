@@ -6,12 +6,14 @@ splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
 ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
 3 not dividing a), Dedekind's theorem settles p: it is unramified, and
 pZ_K splits like F mod p, whose factor degrees gf.factor gives.  The
-other first-order-resolvable branches run through the polygon engine
-(with the critical shift u = -9b/(8a) where a repeated root needs it);
+other first-order-resolvable branches run through the polygon engine;
 the branches that genuinely require higher-order data are encoded as
-congruence tables keyed on (a, b) residues plus nu_2(Delta) and
-Delta_2 mod 8.  Every exact valuation is produced by the Engstrom lookup
-on the splitting type, so values have a single source of truth.
+congruence tables keyed on (a, b) residues plus nu_p(Delta) and
+Delta_p mod 8 or mod 3.  No branch re-checks its shape: the deep
+(x - s)^9 shapes at 3 are checked by the agreement sweep, where
+engine_split analyzes the critical lift x - u, u = -9b/(8a).  Every
+exact valuation is produced by the Engstrom lookup on the splitting
+type, so values have a single source of truth.
 """
 
 from __future__ import annotations
@@ -469,9 +471,31 @@ def critical_shift(a: int, b: int, p: int, precision: int) -> int:
     return (num // p**g) * inv_mod_pk(p, (8 * a) // p**g, precision) % pk
 
 
+def critical_lift(a: int, b: int, p: int) -> tuple:
+    """The lift x - u toward the repeated root, u = critical_shift(a, b, p,
+    nu_p(disc) + 10).  Raises ReduciblePolynomial on a zero discriminant and
+    ValueError when u is not p-integral."""
+    d = disc(a, b)
+    if d == 0:
+        raise ReduciblePolynomial("discriminant is zero")
+    return gf.ztrim((-critical_shift(a, b, p, int(val(p, d)) + 10), 1))
+
+
 def engine_split(a: int, b: int, p: int):
-    """Ore engine result for x^9 + ax + b at p, with shift refinement."""
-    return ore_analyze(trinomial(a, b), p)
+    """Ore engine result for x^9 + ax + b at p: naive lifts, refined.
+
+    When p = 3 and F = (x - s)^9 mod 3 (3 | a, 3 not dividing b) stays
+    irregular, the engine tries once more with the critical lift of the
+    repeated root in place of x - s.  The retry reads no classifier rule,
+    so the sweep compares nu3's deep shapes with an independent answer.
+    """
+    F = trinomial(a, b)
+    try:
+        return ore_analyze(F, p)
+    except NotRegularError:
+        if p != 3 or a % 3 or b % 3 == 0:
+            raise
+    return ore_analyze(F, 3, overrides={(b % 3, 1): critical_lift(a, b, 3)})
 
 
 def _unramified_split(F, p: int) -> Splitting:
@@ -555,19 +579,14 @@ def nu2(a: int, b: int) -> PrimeEntry:
     return _entry(2, shape, f"2:lin:(7,8)m16:v={'28' if v == 28 else '30+'}:D2={u8}m8")
 
 
-_NU3_DEEP_SHAPES = {
-    "odd": _S([(1, 1), (2, 1), (6, 1)]),
-    "even:unit": _S([(1, 1), (1, 2), (6, 1)]),
-    "even:split": _S([(1, 1), (1, 1), (1, 1), (6, 1)]),
-}
-
-
 def nu3(a: int, b: int) -> PrimeEntry:
     """nu_3(i(K)), splitting of 3Z_K and the matched rule.
 
     Input must be normalized and irreducible.  For 3 not dividing a, 3 does
     not divide disc(a, b), and the splitting is read off the factor degrees
-    of F mod 3.
+    of F mod 3.  Where F = (x - s)^9 mod 3 and the lift x - s stays
+    irregular, the "deep" shape is a lookup on nu_3(disc) and Delta_3 mod 3
+    with no engine call; engine_split's critical lift is what checks it.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
@@ -607,28 +626,19 @@ def nu3(a: int, b: int) -> PrimeEntry:
         return _entry(3, _S([(1, 1), (2, 1), (6, 1)]), f"{tag}:w1=2")
     if w0 == 3:
         return _entry(3, _S([(3, 1), (6, 1)]), f"{tag}:w0=3")
-    # w0 >= 4, w1 >= 3: residual factorization decides, or the critical
-    # shift when the naive lift is irregular
-    phibar = gf.ptrim(((-s) % 3, 1))
+    # w0 >= 4, w1 >= 3: residual factorization decides, or, when the lift
+    # x - s is irregular, nu_3(disc) and Delta_3
     try:
-        return _entry(3, ore_analyze(F, 3, overrides={phibar: (-s, 1)}).splitting,
+        return _entry(3, ore_analyze(F, 3, overrides={(b % 3, 1): (-s, 1)}).splitting,
                       f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
     except NotRegularError:
         pass
-    v = val(3, disc(a, b))
-    if v % 2:
-        shape, sub = _NU3_DEEP_SHAPES["odd"], "vodd"
+    if val(3, disc(a, b)) % 2:
+        shape, sub = _S([(1, 1), (2, 1), (6, 1)]), "vodd"
     elif delta_unit(a, b, 3) % 3 == 1:
-        shape, sub = _NU3_DEEP_SHAPES["even:unit"], "veven:D3=1"
+        shape, sub = _S([(1, 1), (1, 2), (6, 1)]), "veven:D3=1"
     else:
-        shape, sub = _NU3_DEEP_SHAPES["even:split"], "veven:D3=-1"
-    precision = int(v) + 10
-    u = critical_shift(a, b, 3, precision)
-    deep = ore_analyze(F, 3, overrides={phibar: gf.ztrim((-u, 1))})
-    if deep.splitting != shape:
-        raise Unclassified(
-            f"shifted polygon gave {deep.splitting}, expected {shape}"
-        )  # pragma: no cover
+        shape, sub = _S([(1, 1), (1, 1), (1, 1), (6, 1)]), "veven:D3=-1"
     return _entry(3, shape, f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:deep:{sub}")
 
 

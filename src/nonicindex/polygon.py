@@ -478,10 +478,6 @@ def ore_analyze(F, p: int, overrides=None) -> OreResult:
     )
 
 
-def ore_split(F, p: int, overrides=None) -> Splitting:
-    return ore_analyze(F, p, overrides).splitting
-
-
 def is_p_regular(F, p: int, phis=None):
     """(flag, analyses) for the given lifts (naive lifts by default).
 

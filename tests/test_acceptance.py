@@ -86,6 +86,8 @@ def test_c4_engine_table_agreement():
         3, 243, lifts_per_class=1, seed=1, class_filter=lambda a, b: a % 3 == 0,
     )
     assert rep3.ok, rep3.mismatches[:5]
+    # F = (x - s)^9 mod 3 is never skipped: the critical lift decides it
+    assert all(b % 3 == 0 for _, b, _ in rep3.skipped), rep3.skipped[:5]
     # the exact-value table for nu_3, transcribed independently: nu_3 = 1
     # exactly on the four families with even nu_3(disc) and unit part -1
     rng = random.Random(4)

@@ -3,9 +3,16 @@ import json
 
 import pytest
 
+from nonicindex import nonic
 from nonicindex.cli import EXIT_MISMATCH, EXIT_OK, EXIT_REDUCIBLE, main
-from nonicindex.nonic import classify
-from test_verify import plant_wrong_engine
+from nonicindex.nonic import Unclassified, classify, critical_lift
+from nonicindex.polygon import analyze_phi, trinomial
+from test_verify import (
+    plant_wrong_classify,
+    plant_wrong_dedekind,
+    plant_wrong_engine,
+    plant_wrong_table_row,
+)
 
 
 def run(capsys, *argv):
@@ -70,6 +77,19 @@ def test_classify_reducible_exit_code(capsys):
     assert code == EXIT_REDUCIBLE
 
 
+def test_classify_unclassified_exit_code(capsys, monkeypatch):
+    # no input reaches Unclassified; a planted gap in nu2 stands in for one
+    def gap(a, b):
+        raise Unclassified("planted gap")
+
+    monkeypatch.setattr(nonic, "nu2", gap)
+    code, out, err = run(capsys, "classify", "--a", "51", "--b", "122", "--json")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert json.loads(out)["result"] == {"error": "unclassified", "detail": "planted gap"}
+    code, out, err = run(capsys, "classify", "--a", "51", "--b", "122")
+    assert (code, out, err) == (EXIT_MISMATCH, "", "unclassified: planted gap\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--a", "not-an-int", "--b", "1"])
@@ -109,6 +129,19 @@ def test_polygon_shifted(capsys):
     assert code == EXIT_OK
     env = json.loads(out)
     assert env["result"]["regular"] is True
+
+
+@pytest.mark.parametrize("a, b, p", [(183, 296, 2), (126, 40130, 3)])
+def test_polygon_shifted_is_the_critical_lift(capsys, a, b, p):
+    code, out, _ = run(capsys, "polygon", "--a", str(a), "--b", str(b), "--p", str(p),
+                       "--phi", "shifted", "--json")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    phi = critical_lift(a, b, p)
+    assert result["phi"] == list(phi)
+    analysis = analyze_phi(trinomial(a, b), p, phi)
+    assert result["vertices"] == [list(v) for v in analysis.polygon.vertices]
+    assert (result["regular"], result["index"]) == (analysis.regular, analysis.index)
 
 
 def test_verify_examples_suite(capsys):
@@ -164,3 +197,16 @@ def test_verify_agreement_suite_over_inert_lifts(capsys):
                        "--modulus", "7", "--lifts", "1", "--seed", "1199")
     assert code == EXIT_OK
     assert "0 mismatches" in out
+
+
+@pytest.mark.parametrize("plant, argv", [
+    (plant_wrong_dedekind, ("--suite", "dedekind", "--prime", "3", "--modulus", "9",
+                            "--lifts", "2")),
+    (plant_wrong_classify, ("--suite", "examples")),
+    (plant_wrong_table_row, ("--suite", "tables")),
+])
+def test_verify_suites_exit_on_a_planted_mismatch(capsys, monkeypatch, plant, argv):
+    plant(monkeypatch)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH {" in out

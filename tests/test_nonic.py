@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nonicindex import arith
-from nonicindex.arith import bounded_factor, val
+from nonicindex.arith import TRIAL_LIMIT, bounded_factor, is_prime, val
 from nonicindex.engstrom import IndexValuation
 from nonicindex.nonic import (
     Certificate,
@@ -11,7 +11,9 @@ from nonicindex.nonic import (
     ReduciblePolynomial,
     _disc_prime_to_6,
     _show,
+    _square_failure,
     classify,
+    critical_lift,
     critical_shift,
     delta_unit,
     disc,
@@ -130,6 +132,16 @@ def test_found_square_decides_beside_an_unfactored_part():
     assert any(w.startswith("disc has an unfactored part") for w in report.warnings)
 
 
+def test_square_failure_strips_large_primes_shared_with_ab():
+    # q > TRIAL_LIMIT divides a and b, so a leftover q^3 of the disc holds no
+    # prime coprime to 6ab and decides nothing; a leftover prime to ab does
+    q = next(n for n in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime(n))
+    a, b = 5 * q, 7 * q
+    assert _square_failure(a, b, ({}, q**3)) is None
+    with pytest.raises(IndeterminateFactorization, match="unfactored part 121"):
+        _square_failure(a, b, ({}, q**3 * 11**2))
+
+
 def test_maximality_matches_dedekind_over_disc_primes():
     rng = random.Random(17)
     checked = 0
@@ -176,6 +188,16 @@ def test_classify_known_fields():
     rep = classify(35, 20)
     assert rep.i_K is None and rep.i_K_known_divisor == 2
     assert rep.describe_index() == "2^(>=1)"
+
+
+def test_describe_index_mixes_exact_and_lower_bound():
+    # (a, b) = (35, 20) mod 2^12 leaves nu_2 a lower bound, and (126, 40130)
+    # mod 3^8 gives nu_3 = 1 exactly
+    rep = classify(79814691, 10235924)
+    assert rep.entries[2].nu == IndexValuation.at_least(1)
+    assert rep.entries[3].nu == IndexValuation.exact(1)
+    assert rep.i_K is None and rep.i_K_known_divisor == 6
+    assert rep.describe_index() == "2^(>=1) * 3^1"
 
 
 def test_classify_rejects_reducible():
@@ -500,6 +522,8 @@ def test_nu3_case_table():
                         want, want_nu = DEEP_SHAPES["split"], 1
                     assert entry.splitting == want, (a, b, entry)
                     assert entry.nu == IndexValuation.exact(want_nu), (a, b, entry)
+                    # nu3 runs no engine here: the critical lift checks it
+                    assert engine_split(a, b, 3).splitting == entry.splitting, (a, b)
                 else:
                     assert entry.splitting == expected, (a, b, entry)
                     assert entry.nu == IndexValuation.exact(0), (a, b, entry)
@@ -549,6 +573,16 @@ def test_critical_shift():
     for (a, b, p) in ((7, 8, 2), (183, 296, 2), (126, 40130, 3)):
         u = critical_shift(a, b, p, 20)
         assert val(p, 8 * a * u + 9 * b) >= 20
+
+
+def test_critical_lift():
+    # x - u with u = critical_shift(a, b, p, nu_p(disc) + 10)
+    for (a, b, p) in ((183, 296, 2), (126, 40130, 3)):
+        minus_u, one = critical_lift(a, b, p)
+        assert one == 1
+        assert val(p, 9 * b - 8 * a * minus_u) >= val(p, disc(a, b)) + 10
+    with pytest.raises(ReduciblePolynomial):
+        critical_lift(-9, 8, 3)  # x^9 - 9x + 8 has the double root 1
 
 
 def test_unclassified_never_fires_on_grid():

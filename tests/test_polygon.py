@@ -21,7 +21,6 @@ from nonicindex.polygon import (
     is_p_regular,
     lattice_index,
     ore_analyze,
-    ore_split,
     phi_expand,
     principal_polygon,
     residual_poly,
@@ -224,10 +223,10 @@ def test_is_p_regular_examples():
 
 
 def test_ore_split_examples():
-    assert ore_split(trinomial(5, 2), 2) == Splitting.of([(1, 1), (1, 1), (7, 1)])
-    assert ore_split(trinomial(2, 2), 2) == Splitting.of([(9, 1)])
+    assert ore_analyze(trinomial(5, 2), 2).splitting == Splitting.of([(1, 1), (1, 1), (7, 1)])
+    assert ore_analyze(trinomial(2, 2), 2).splitting == Splitting.of([(9, 1)])
     # (a,b) = (0,8) mod 27 with b = -1 mod 3: 3Z_K = p1^3 p2^6
-    assert ore_split(trinomial(54, 35), 3) == Splitting.of([(3, 1), (6, 1)])
+    assert ore_analyze(trinomial(54, 35), 3).splitting == Splitting.of([(3, 1), (6, 1)])
 
 
 def test_ore_split_inert_primes():
@@ -251,7 +250,7 @@ def test_ore_split_inert_primes():
 def test_ore_split_not_regular():
     # nu_2(a) = 2, b = 0 mod 8 needs higher-order data
     with pytest.raises(NotRegularError):
-        ore_split(trinomial(4, 8), 2)
+        ore_analyze(trinomial(4, 8), 2)
 
 
 def test_splitting_mass_random():
@@ -263,7 +262,7 @@ def test_splitting_mass_random():
         if disc(a, b) == 0:
             continue
         try:
-            split = ore_split(trinomial(a, b), p)
+            split = ore_analyze(trinomial(a, b), p).splitting
         except (NotRegularError, ValueError):
             continue
         assert split.mass == 9

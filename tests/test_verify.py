@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -149,3 +150,59 @@ def test_sweep_agreement_reports_a_planted_mismatch(monkeypatch):
     rep = sweep_agreement(5, 5, 1, seed=1)
     assert len(rep.mismatches) == rep.total == 25
     assert all(m["residue_degrees_over_bound"] == [1] for m in rep.mismatches)
+
+
+def plant_wrong_dedekind(monkeypatch):
+    """verify.dedekind_divides answers the opposite of the criterion."""
+    real = verify.dedekind_divides
+    monkeypatch.setattr(verify, "dedekind_divides", lambda F, p: not real(F, p))
+
+
+def plant_wrong_classify(monkeypatch):
+    """verify.classify reports an exact i(K) one more than its known divisor."""
+    real = verify.classify
+
+    def wrong(a, b):
+        report = real(a, b)
+        return dataclasses.replace(report, i_K=report.i_K_known_divisor + 1)
+
+    monkeypatch.setattr(verify, "classify", wrong)
+
+
+PLANTED_ROW = (16, ((4, 8),), polygon.Splitting.of([(1, 1)]))
+
+
+def plant_wrong_table_row(monkeypatch):
+    """One more a2 row, of mass 1, on the class (4, 8) mod 16 of the first."""
+    monkeypatch.setattr(verify, "_TABLE_A2", verify._TABLE_A2 + (PLANTED_ROW,))
+
+
+def test_sweep_dedekind_reports_a_planted_mismatch(monkeypatch):
+    plant_wrong_dedekind(monkeypatch)
+    rep = sweep_dedekind(3, 9, 2, seed=1)
+    assert not rep.ok
+    assert len(rep.mismatches) == rep.total == 162
+    assert all(m["predicted_maximal"] == m["dedekind_divides"] for m in rep.mismatches)
+    assert [row[6] for row in rep.rows].count("mismatch") == 162
+
+
+def test_check_examples_reports_a_planted_mismatch(monkeypatch):
+    plant_wrong_classify(monkeypatch)
+    rep = check_examples()
+    assert not rep.ok
+    assert len(rep.mismatches) == rep.total == len(KNOWN_EXAMPLES)
+    assert [(m["a"], m["b"], m["expected"]) for m in rep.mismatches] == list(KNOWN_EXAMPLES)
+    assert [row[6] for row in rep.rows].count("mismatch") == len(KNOWN_EXAMPLES)
+
+
+def test_check_tables_reports_a_planted_row(monkeypatch):
+    plant_wrong_table_row(monkeypatch)
+    rep = check_tables()
+    assert not rep.ok
+    assert {"table": "a2", "classes": PLANTED_ROW[1], "mass": 1} in rep.mismatches
+    # the cells of (4, 8) mod 16 in the 64-grid now hit two rows
+    overlaps = [m for m in rep.mismatches if "hits" in m]
+    assert len(overlaps) == len(rep.mismatches) - 1 == 16
+    assert all(m["table"] == "a2" and (m["a"] % 16, m["b"] % 16) == (4, 8)
+               and m["hits"] == [(16, ((4, 8), (12, 8))), (16, ((4, 8),))]
+               for m in overlaps)
