@@ -21,7 +21,6 @@ from .polygon import (
     NotRegularError,
     Splitting,
     dedekind_divides,
-    is_p_regular,
     ore_analyze,
     trinomial,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "inv_mod_pk",
     "irreducibility_certificate",
     "is_order_maximal",
-    "is_p_regular",
     "normalize",
     "nu2",
     "nu3",

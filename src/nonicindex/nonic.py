@@ -495,7 +495,7 @@ def engine_split(a: int, b: int, p: int):
     except NotRegularError:
         if p != 3 or a % 3 or b % 3 == 0:
             raise
-    return ore_analyze(F, 3, overrides={(b % 3, 1): critical_lift(a, b, 3)})
+    return ore_analyze(F, 3, lift=critical_lift(a, b, 3))
 
 
 def _unramified_split(F, p: int) -> Splitting:
@@ -629,7 +629,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
     # w0 >= 4, w1 >= 3: residual factorization decides, or, when the lift
     # x - s is irregular, nu_3(disc) and Delta_3
     try:
-        return _entry(3, ore_analyze(F, 3, overrides={(b % 3, 1): (-s, 1)}).splitting,
+        return _entry(3, ore_analyze(F, 3, lift=(-s, 1)).splitting,
                       f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
     except NotRegularError:
         pass

@@ -372,10 +372,11 @@ _REFINE_STEPS = 256  # a defensive cap on the refinement steps of one lift
 def analyze_phi_refined(F, p: int, phi) -> PhiAnalysis:
     """analyze_phi, nudging phi while a repeated linear root allows it.
 
-    Each accepted step replaces phi by phi -+ p^h * root and strictly
-    increases the valuation of the expansion's constant term, so the loop
-    terminates for squarefree F.  Returns the last (possibly irregular)
-    analysis if no step applies.
+    Each step replaces phi by phi - p^h * root, the first-order step of
+    Montes' algorithm, and is kept only when it strictly increases the
+    valuation of the expansion's constant term, so the loop terminates
+    for squarefree F.  Returns the last (possibly irregular) analysis
+    when no step applies or a step gains nothing.
     """
     analysis = analyze_phi(F, p, phi)
     for _ in range(_REFINE_STEPS):
@@ -385,16 +386,10 @@ def analyze_phi_refined(F, p: int, phi) -> PhiAnalysis:
         if step is None:
             return analysis
         h, root = step
-        shift = ztrim(tuple(c * p**h for c in root))
-        improved = None
-        for cand in (zsub(analysis.phi, shift), zsub(analysis.phi, tuple(-c for c in shift))):
-            trial = analyze_phi(F, p, cand)
-            if trial.expansion_vals[0] > analysis.expansion_vals[0]:
-                improved = trial
-                break
-        if improved is None:
+        trial = analyze_phi(F, p, zsub(analysis.phi, tuple(c * p**h for c in root)))
+        if trial.expansion_vals[0] <= analysis.expansion_vals[0]:
             return analysis
-        analysis = improved
+        analysis = trial
     return analysis  # pragma: no cover - defensive cap
 
 
@@ -431,32 +426,32 @@ class OreResult(NamedTuple):
     analyses: tuple
 
 
-def ore_analyze(F, p: int, overrides=None) -> OreResult:
+def ore_analyze(F, p: int, lift=None) -> OreResult:
     """Splitting of p and the Ore index, via one analyzed lift per factor.
 
     When F mod p is irreducible and F is its own lift (its coefficients lie
     in [0, p)), p is inert: the splitting is (1, deg F), the index 0, and
-    there is no analysis.  overrides maps a factor of F mod p (a gf poly
-    tuple) to the integer lift to use for it, analyzed as given; other
-    factors are their own naive lift, refined.  Raises NotRegular when
-    some factor stays irregular.
+    there is no analysis.  Each factor of F mod p is its own naive lift,
+    refined.  A given lift is analyzed as given, in place of the one factor
+    of F mod p; it raises ValueError when F mod p has more than one
+    irreducible factor or the lift does not reduce to it.  Raises
+    NotRegular when some factor stays irregular.
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)
     n = pdeg(F)
     if pdeg(fbar) != n:
         raise ValueError("F must be monic of positive degree")
-    fact = gf.factor(field, fbar)
+    factors = gf.factor(field, fbar).factors
+    if lift is not None and (len(factors) != 1 or gf.reduce_mod_p(lift, p) != factors[0][0]):
+        raise ValueError("lift does not reduce to the one factor of F mod p")
     analyses = []
     pairs = []
-    for phibar, _mult in fact.factors:
-        override = (overrides or {}).get(phibar)
-        if override and gf.reduce_mod_p(override, p) != phibar:
-            raise ValueError("override lift does not reduce to its factor")
-        phi = override or phibar
+    for phibar, _mult in factors:
+        phi = lift or phibar
         if phi == tuple(F):  # p is inert
             return OreResult(splitting=Splitting.of([(1, n)]), index=0, analyses=())
-        analysis = (analyze_phi if override else analyze_phi_refined)(F, p, phi)
+        analysis = (analyze_phi if lift else analyze_phi_refined)(F, p, phi)
         analyses.append(analysis)
         if not analysis.regular:
             continue
@@ -476,25 +471,6 @@ def ore_analyze(F, p: int, overrides=None) -> OreResult:
         index=sum(a.index for a in analyses),
         analyses=tuple(analyses),
     )
-
-
-def is_p_regular(F, p: int, phis=None):
-    """(flag, analyses) for the given lifts (naive lifts by default).
-
-    No refinement is applied: this reports regularity of the polynomial
-    with respect to the lifts as supplied.  Supplied lifts must reduce to
-    irreducible polynomials mod p.
-    """
-    field = gf.PrimeField(p)
-    if phis is None:
-        fbar = gf.reduce_mod_p(F, p)
-        phis = [phibar for phibar, _ in gf.factor(field, fbar).factors]
-    else:
-        for phi in phis:
-            if not gf.is_irreducible(field, gf.reduce_mod_p(phi, p)):
-                raise ValueError(f"phi = {phi} is not irreducible mod {p}")
-    analyses = [analyze_phi(F, p, phi) for phi in phis]
-    return all(a.regular for a in analyses), analyses
 
 
 # ---------------------------------------------------------------------------

@@ -225,13 +225,14 @@ def sweep_agreement(
                 split = engine.splitting
                 eng_divides = divides_index(split, p)
                 if p in (5, 7):
-                    bad_f = [
-                        f for f, c in split.residue_counts().items()
-                        if c > count_monic_irreducible(p, f)
-                    ]
-                    status = "ok" if not (bad_f or eng_divides) else "mismatch"
+                    # p | i(K) exactly when some f is over the bound
+                    status = "mismatch" if eng_divides else "ok"
                     report.rows.append((a, b, p, "0", "bound", str(split), status))
-                    if status == "mismatch":
+                    if eng_divides:
+                        bad_f = [
+                            f for f, c in split.residue_counts().items()
+                            if c > count_monic_irreducible(p, f)
+                        ]
                         report.mismatches.append(
                             {"a": a, "b": b, "splitting": str(split),
                              "residue_degrees_over_bound": bad_f}
@@ -311,13 +312,13 @@ def check_tables() -> SweepReport:
     for tag, table, grid, in_domain in domains:
         for _, classes, split in table:
             report.total += 1
-            if split.mass != 9:
+            status = "ok" if split.mass == 9 else "mismatch"
+            report.rows.append(
+                ("", "", 2, "", f"{tag}:{classes}", str(split), status)
+            )
+            if status == "mismatch":
                 report.mismatches.append(
                     {"table": tag, "classes": classes, "mass": split.mass}
-                )
-            else:
-                report.rows.append(
-                    ("", "", 2, "", f"{tag}:{classes}", str(split), "ok")
                 )
         for a in range(0, grid, 4):
             for b in range(0, grid, 8):
@@ -330,6 +331,9 @@ def check_tables() -> SweepReport:
                     if (a % modulus, b % modulus) in classes
                 ]
                 if len(hits) != 1:
+                    report.rows.append(
+                        (a, b, 2, "", f"{tag}:hits={len(hits)}", "", "mismatch")
+                    )
                     report.mismatches.append(
                         {"table": tag, "a": a, "b": b, "hits": hits}
                     )

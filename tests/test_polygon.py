@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonicindex import gf
+from nonicindex import gf, polygon
 from nonicindex.arith import INFINITY, val
 from nonicindex.gf import ztrim
-from nonicindex.nonic import critical_shift, disc
+from nonicindex.nonic import critical_lift, critical_shift, disc, engine_split
 from nonicindex.polygon import (
     ExactDivisorError,
     NotRegularError,
@@ -18,7 +18,6 @@ from nonicindex.polygon import (
     analyze_phi_refined,
     coeff_val,
     dedekind_divides,
-    is_p_regular,
     lattice_index,
     ore_analyze,
     phi_expand,
@@ -203,23 +202,24 @@ def test_lattice_index_examples():
     assert lattice_index(poly) == 1
 
 
+def naive_analyses(F, p):
+    """analyze_phi on the naive lift of each factor of F mod p, unrefined."""
+    factors = gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors
+    return [analyze_phi(F, p, phibar) for phibar, _ in factors]
+
+
 def test_is_p_regular_examples():
-    assert is_p_regular(trinomial(5, 2), 2)[0] is True
-    assert is_p_regular(trinomial(2, 2), 2)[0] is True  # Eisenstein
+    assert all(an.regular for an in naive_analyses(trinomial(5, 2), 2))
+    assert all(an.regular for an in naive_analyses(trinomial(2, 2), 2))  # Eisenstein
     # (a,b) = (7,8) mod 16 with nu_2(disc) even: the shifted lift x - u has
     # residual (y+1)^2, so the polynomial is not regular for that lift
-    from nonicindex.nonic import critical_shift
-
     a, b = 7 + 16 * 31, 8 + 16 * 27  # (503, 440); nu_2(disc) even
     assert val(2, disc(a, b)) % 2 == 0
     u = critical_shift(a, b, 2, int(val(2, disc(a, b))) + 10)
-    flag, analyses = is_p_regular(trinomial(a, b), 2, phis=[ztrim((-u, 1)), (0, 1)])
-    assert flag is False
+    analyses = [analyze_phi(trinomial(a, b), 2, phi) for phi in (ztrim((-u, 1)), (0, 1))]
+    assert not all(an.regular for an in analyses)
     bad = [sd for an in analyses for sd in an.sides if not sd.squarefree]
     assert bad and dict(bad[0].factorization.factors) == {(1, 1): 2}
-    # a supplied lift must be irreducible mod p: x^2 + 1 = (x + 1)^2 mod 2
-    with pytest.raises(ValueError):
-        is_p_regular(trinomial(1, 1), 2, phis=[(1, 0, 1)])
 
 
 def test_ore_split_examples():
@@ -245,6 +245,39 @@ def test_ore_split_inert_primes():
                 res = ore_analyze(F, p)
                 assert (res.splitting, res.index) == (Splitting.of([(1, 9)]), 0), (a, b, p)
     assert inert == 61
+
+
+def test_ore_analyze_lift_replaces_the_one_factor():
+    # x^9 + 5x + 2 = x (x + 1)^8 mod 2: two factors, so no lift of either
+    for lift in ((0, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            ore_analyze(trinomial(5, 2), 2, lift=lift)
+    # x^9 + 126x + 40130 = (x + 2)^9 mod 3, and the lift x is not x + 2 mod 3
+    F = trinomial(126, 40130)
+    with pytest.raises(ValueError):
+        ore_analyze(F, 3, lift=(0, 1))
+    res = ore_analyze(F, 3, lift=critical_lift(126, 40130, 3))
+    assert res.splitting == engine_split(126, 40130, 3).splitting
+    assert [an.phi for an in res.analyses] == [critical_lift(126, 40130, 3)]
+
+
+@pytest.mark.parametrize("a, b, p, naive, refined, calls", [
+    (-252, -235, 3, (2, 1), (2, 1), 2),  # the nudge gains nothing: kept irregular
+    (-225, -262, 3, (2, 1), (-13, 1), 3),
+    (-297, -280, 2, (1, 1), (-5, 1), 3),
+])
+def test_refinement_makes_one_analysis_per_step(monkeypatch, a, b, p, naive, refined, calls):
+    lifts = []
+
+    def counting(F, p, phi):
+        lifts.append(phi)
+        return analyze_phi(F, p, phi)
+
+    monkeypatch.setattr(polygon, "analyze_phi", counting)
+    analysis = analyze_phi_refined(trinomial(a, b), p, naive)
+    assert analysis.phi == refined
+    assert analysis.regular == (refined != naive)
+    assert len(lifts) == calls
 
 
 def test_ore_split_not_regular():
@@ -285,10 +318,10 @@ def test_dedekind_matches_ore_index_exhaustive():
                     continue
                 F = trinomial(a, b)
                 try:
-                    regular, analyses = is_p_regular(F, p)
+                    analyses = naive_analyses(F, p)
                 except ValueError:
                     continue  # a factor divides F exactly (reducible)
-                if not regular:
+                if not all(an.regular for an in analyses):
                     continue
                 total = sum(an.index for an in analyses)
                 assert dedekind_divides(F, p) == (total > 0), (p, a, b)

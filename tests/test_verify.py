@@ -93,6 +93,8 @@ def test_check_examples():
 def test_check_tables():
     rep = check_tables()
     assert rep.ok
+    # one "ok" row per table row, none for the partition cells
+    assert len(rep.rows) == 32 and all(row[6] == "ok" for row in rep.rows)
 
 
 def test_run_suite_dispatch():
@@ -206,3 +208,11 @@ def test_check_tables_reports_a_planted_row(monkeypatch):
     assert all(m["table"] == "a2" and (m["a"] % 16, m["b"] % 16) == (4, 8)
                and m["hits"] == [(16, ((4, 8), (12, 8))), (16, ((4, 8),))]
                for m in overlaps)
+    # one "mismatch" row for the planted row's mass and one per overlapping cell
+    bad = [row for row in rep.rows if row[6] == "mismatch"]
+    assert len(bad) == len(rep.mismatches) == 17
+    assert ("", "", 2, "", f"a2:{PLANTED_ROW[1]}", "(1,1)", "mismatch") in bad
+    assert [(row[0], row[1], row[4]) for row in bad if row[0] != ""] == [
+        (m["a"], m["b"], "a2:hits=2") for m in overlaps
+    ]
+    assert [row[6] for row in rep.rows].count("ok") == 32
