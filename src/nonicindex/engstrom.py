@@ -45,17 +45,13 @@ class IndexValuation:
         return str(self.value) if self.kind == "exact" else f">={self.value}"
 
 
-def _key(split: Splitting) -> tuple:
-    return tuple(sorted(split.primes, key=lambda ef: (ef[1], ef[0])))
-
-
 # Splitting types whose exact nu_p(i(K)) is known for nonic fields.  Keys
-# are (p, canonical type); canonical order is lexicographic by (f, e).
+# are (p, primes) of Splitting.of, which sorts the pairs by (f, e).
 EXACT_NU: dict = {
-    (2, _key(Splitting.of([(1, 1), (1, 1), (7, 1)]))): 1,
-    (2, _key(Splitting.of([(1, 1), (2, 1), (2, 1), (4, 1)]))): 3,
-    (2, _key(Splitting.of([(1, 1), (2, 2), (2, 2)]))): 1,
-    (3, _key(Splitting.of([(1, 1), (1, 1), (1, 1), (6, 1)]))): 1,
+    (2, Splitting.of([(1, 1), (1, 1), (7, 1)]).primes): 1,
+    (2, Splitting.of([(1, 1), (2, 1), (2, 1), (4, 1)]).primes): 3,
+    (2, Splitting.of([(1, 1), (2, 2), (2, 2)]).primes): 1,
+    (3, Splitting.of([(1, 1), (1, 1), (1, 1), (6, 1)]).primes): 1,
 }
 
 
@@ -76,7 +72,7 @@ def nu_lookup(split: Splitting, p: int) -> IndexValuation:
     (p, type) pair is in the table; otherwise AtLeast(1)."""
     if not divides_index(split, p):
         return IndexValuation.exact(0)
-    exact = EXACT_NU.get((p, _key(split)))
+    exact = EXACT_NU.get((p, split.primes))
     if exact is not None:
         return IndexValuation.exact(exact)
     return IndexValuation.at_least(1)

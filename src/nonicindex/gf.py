@@ -1,28 +1,24 @@
-"""Polynomial arithmetic and factorization over F_p and small extensions F_q.
+"""Polynomial arithmetic and factorization over F_p, and extensions F_q.
 
 Polynomials are tuples of field elements, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Elements of F_p
 are ints in [0, p); elements of F_q = F_p[x]/(m) are fixed-length tuples of
-ints.  Over F_p (F.degree == 1), pmul and the division routines work on
-plain ints, reducing mod p once per coefficient, and go through the
-field's add/mul only over extensions.  One in-place remainder loop on int
-lists, _rem_ints, serves pdivmod, which also collects the quotient, pmod,
-which builds none, and pgcd's Euclid; ppowmod and ExtField.mul are built
-on them.  Over F_p, distinct_degree is one pass on int lists: it takes
-each next Frobenius power as one product with a matrix built once per
-polynomial, whose rows are, while p < deg f, shifts by p reduced with f's
-nonzero coefficients, and takes each step's gcd with the same Euclid.
-Everything is deterministic: factor() returns a linear input as it is,
-and otherwise uses squarefree splitting, then distinct-degree splitting,
-then equal-degree splitting by exhaustive search over the q^d monic
-candidates of the factor degree d; it divides out multiplicities only
-when the input is not squarefree.
-That is fine for the operating envelope: F mod p has degree 9, and a
-residual polynomial over F_q = F_p[x]/(phi) has degree at most
-9 / deg(phi), so the search tries at most p^4 candidates, 2,401 at p = 7,
-although the p = 7 sweep builds fields up to F_(7^9), where residual
-polynomials are linear.  is_irreducible is the same squarefree test
-followed by one distinct-degree pass.
+ints.  The polynomial algorithms run over F_p only, on plain ints, reducing
+mod p once per coefficient: over an extension the polygon engine meets
+only linear residual polynomials (see factor), which need no algorithm.
+One in-place remainder loop on int lists, _rem_ints, serves pdivmod,
+which also collects the quotient, pmod, which builds none, and pgcd's
+Euclid; ExtField.mul and ExtField.inv are built on them.  distinct_degree
+is one pass on int lists: it takes each next Frobenius power as one
+product with a matrix built once per polynomial, whose rows are, while
+p < deg f, shifts by p reduced with f's nonzero coefficients, and takes
+each step's gcd with the same Euclid.  Everything is deterministic:
+factor() returns a linear input as it is, and otherwise uses
+squarefree splitting, then distinct-degree splitting, then equal-degree
+splitting by exhaustive search over the p^d monic candidates of the
+factor degree d; it divides out multiplicities only when the input is not
+squarefree.  is_irreducible is the same squarefree test followed by one
+distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -71,12 +67,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -86,9 +76,6 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def from_coeffvec(self, ints):
         """Element from the integer coefficients of a representative."""
         return ints[0] % self.p if ints else 0
@@ -96,12 +83,6 @@ class PrimeField:
     def to_coeffvec(self, a) -> tuple:
         """The element's integer coefficients, inverse to from_coeffvec."""
         return (a,)
-
-    def pth_root(self, a):
-        return a  # Frobenius is the identity on F_p
-
-    def elements(self):
-        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -146,14 +127,6 @@ class ExtField:
     def _pad(self, c) -> tuple:
         return tuple(c) + (0,) * (self.degree - len(c))
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def neg(self, a):
         p = self.p
         return tuple(-x % p for x in a)
@@ -164,19 +137,20 @@ class ExtField:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[x] against the modulus
-        F = self._base
+        # extended Euclid in F_p[x] against the modulus, on int tuples
+        p = self.p
         r0, r1 = self.modulus, ztrim(a)
-        s0, s1 = (), (F.one,)
-        while pdeg(r1) > 0:
-            quo, rem = pdivmod(F, r0, r1)
+        s0, s1 = (), (1,)
+        while len(r1) > 1:
+            quo, rem = pdivmod(self._base, r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, psub(F, s0, pmul(F, quo, s1))
-        lead_inv = F.inv(r1[0])
-        return self._pad(tuple(F.mul(lead_inv, c) for c in s1))
-
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.degree - 1)
+            s = list(s0) + [0] * (len(quo) + len(s1) - 1 - len(s0))  # s0 - quo * s1
+            for i, x in enumerate(quo):
+                for j, y in enumerate(s1):
+                    s[i + j] -= x * y
+            s0, s1 = s1, ztrim([c % p for c in s])
+        lead_inv = pow(r1[0], -1, p)
+        return self._pad(tuple(c * lead_inv % p for c in s1))
 
     def from_coeffvec(self, ints) -> tuple:
         """Element from integer coefficients of a residue representative."""
@@ -187,14 +161,6 @@ class ExtField:
     def to_coeffvec(self, a) -> tuple:
         """The element's integer coefficients, inverse to from_coeffvec."""
         return a
-
-    def pth_root(self, a):
-        # a -> a^(q/p); the p-th power map is a bijection with this inverse
-        return _elem_pow(self, a, self.q // self.p)
-
-    def elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.degree):
-            yield tup
 
     def __eq__(self, other):
         return (
@@ -210,17 +176,6 @@ class ExtField:
         return f"ExtField({self.p}, {self.modulus})"
 
 
-def _elem_pow(F, a, n: int):
-    result = F.one
-    base = a
-    while n:
-        if n & 1:
-            result = F.mul(result, base)
-        base = F.mul(base, base)
-        n >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over a field
 
@@ -229,63 +184,26 @@ def pdeg(c) -> int:
     return len(c) - 1
 
 
-def psub(F, f, g) -> tuple:
-    out = list(f) + [F.zero] * max(0, len(g) - len(f))
-    for i, e in enumerate(g):
-        out[i] = F.sub(out[i], e)
-    return F.trim(out)
-
-
 def pmul(F, f, g) -> tuple:
     if not f or not g:
         return ()
-    if F.degree == 1:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-        p = F.p
-        return ztrim([c % p for c in out])
-    out = [F.zero] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
-        if nonzero(x):
+        if x:
             for j, y in enumerate(g):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return ptrim(out)
+                out[i + j] += x * y
+    p = F.p
+    return ztrim([c % p for c in out])
 
 
 def pdivmod(F, f, g) -> tuple:
-    if F.degree == 1:
-        return _pdivmod_ints(F.p, f, g)
-    f, g = ptrim(f), ptrim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(f) < len(g):
-        return (), f
-    lead_inv = F.inv(g[-1])
-    rem = list(f)
-    quo = [F.zero] * (len(f) - len(g) + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = F.mul(rem[i + len(g) - 1], lead_inv)
-        quo[i] = c
-        if nonzero(c):
-            for j, y in enumerate(g):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, y))
-    return ptrim(quo), ptrim(rem)
-
-
-def _pdivmod_ints(p: int, f, g) -> tuple:
-    """pdivmod over F_p on plain ints."""
     quo = []
-    rem = _rem_ints(p, list(f), g, quo)
+    rem = _rem_ints(F.p, list(f), g, quo)
     return ztrim(quo[::-1]), tuple(rem)
 
 
 def pmod(F, f, g) -> tuple:
-    if F.degree == 1:
-        return tuple(_rem_ints(F.p, list(f), g))  # no quotient built
-    return pdivmod(F, f, g)[1]
+    return tuple(_rem_ints(F.p, list(f), g))  # no quotient built
 
 
 def _rem_ints(p: int, f: list, g, quo=None) -> list:
@@ -329,14 +247,7 @@ def pmonic(F, f) -> tuple:
 
 
 def pgcd(F, f, g) -> tuple:
-    if F.degree == 1:
-        return _pgcd_ints(F.p, list(ztrim(f)), list(ztrim(g)))
-    f, g = ptrim(f), ptrim(g)
-    while g:
-        f, g = g, pmod(F, f, g)
-    if not f:
-        return ()
-    return pmonic(F, f)[1]
+    return _pgcd_ints(F.p, list(ztrim(f)), list(ztrim(g)))
 
 
 def _pgcd_ints(p: int, f: list, g: list) -> tuple:
@@ -350,26 +261,14 @@ def _pgcd_ints(p: int, f: list, g: list) -> tuple:
     return tuple(c * lead_inv % p for c in f)
 
 
-def ppowmod(F, f, n: int, mod) -> tuple:
-    result = (F.one,)
-    base = pmod(F, f, mod)
-    while n:
-        if n & 1:
-            result = pmod(F, pmul(F, result, base), mod)
-        base = pmod(F, pmul(F, base, base), mod)
-        n >>= 1
-    return result
-
-
 def pderiv(F, f) -> tuple:
-    return F.trim(
-        tuple(F.mul(f[i], F.from_int(i)) for i in range(1, len(f)))
-    )
+    p = F.p
+    return ztrim([f[i] * i % p for i in range(1, len(f))])
 
 
 def enumerate_monic(F, d: int):
     """All monic degree-d polynomials over F, in a fixed order."""
-    for lower in itertools.product(F.elements(), repeat=d):
+    for lower in itertools.product(range(F.p), repeat=d):
         yield tuple(lower) + (F.one,)
 
 
@@ -378,7 +277,7 @@ def enumerate_monic(F, d: int):
 
 
 def is_irreducible(F, f) -> bool:
-    """Whether f is irreducible over F, for any q in the envelope.
+    """Whether f is irreducible over F_p.
 
     f is irreducible exactly when it is squarefree and one distinct-degree
     pass leaves a single part, of degree deg f: every factor of a reducible
@@ -396,9 +295,9 @@ def is_irreducible(F, f) -> bool:
 
 
 def _pth_root_poly(F, f) -> tuple:
-    """For f with zero derivative, the g with g(x)^p = f(x)."""
-    p = F.p
-    return F.trim(tuple(F.pth_root(f[i]) for i in range(0, len(f), p)))
+    """For f with zero derivative, the g with g(x)^p = f(x): Frobenius is
+    the identity on F_p, so g's coefficients are every p-th one of f's."""
+    return ztrim(f[::F.p])
 
 
 def _squarefree_parts(F, f):
@@ -423,35 +322,12 @@ def _squarefree_parts(F, f):
 
 
 def distinct_degree(F, f, *, rootless: bool = False):
-    """Split monic squarefree f into [(product of its degree-d factors, d)].
+    """Split monic squarefree f over F_p into [(product of its degree-d
+    factors, d)], on plain int lists.
 
-    Step d takes gcd(x^(q^d) - x, rem), where rem is what the earlier steps
-    left of f, raising w = x^(q^(d-1)) to the q-th power mod rem.  Over F_p
-    this is _distinct_degree_ints, where rootless=True states that f has no
-    root in F_p, so that the gcd of step 1 is known to be 1 and is not taken.
-    """
-    if F.degree == 1:
-        return _distinct_degree_ints(F.p, f, rootless)
-    out = []
-    x = (F.zero, F.one)
-    w = x
-    d = 0
-    rem = f
-    while pdeg(rem) >= 2 * (d + 1):
-        d += 1
-        w = ppowmod(F, w, F.q, rem)
-        g = pgcd(F, psub(F, w, x), rem)
-        if pdeg(g) > 0:
-            out.append((g, d))
-            rem = pdivmod(F, rem, g)[0]
-            w = pmod(F, w, rem)
-    if pdeg(rem) > 0:
-        out.append((rem, pdeg(rem)))
-    return out
-
-
-def _distinct_degree_ints(p: int, f, rootless: bool):
-    """distinct_degree over F_p, on plain int lists.
+    Step d takes gcd(x^(p^d) - x, rem), where rem is what the earlier steps
+    left of f; rootless=True states that f has no root in F_p, so that the
+    gcd of step 1 is known to be 1 and is not taken.
 
     w -> w^p mod f is linear over F_p, so w^p is a combination of the rows
     x^(i p) mod f of Berlekamp's matrix (Bell Syst. Tech. J. 1967), built
@@ -461,6 +337,7 @@ def _distinct_degree_ints(p: int, f, rootless: bool):
     which is a shift by p while p < deg f; products are reduced with f's
     nonzero low coefficients only, 2 of them for a trinomial.
     """
+    p = F.p
     n = len(f) - 1
     out = []
     rem = f
@@ -503,7 +380,7 @@ def _distinct_degree_ints(p: int, f, rootless: bool):
             g = _pgcd_ints(p, list(rem), h)
             if len(g) > 1:
                 out.append((g, d))
-                rem = _pdivmod_ints(p, rem, g)[0]
+                rem = pdivmod(F, rem, g)[0]
                 w = _rem_ints(p, w, rem)
     if len(rem) > 1:
         out.append((rem, len(rem) - 1))
@@ -539,12 +416,25 @@ class Factorization:
 def factor(F, f) -> Factorization:
     """Complete factorization of a nonzero polynomial into monic irreducibles.
 
+    Over F_p any polynomial; over an extension F_q one of degree <= 1, and
+    anything longer raises ValueError.  That is all the polygon engine needs for a trinomial
+    F = x^9 + ax + b.  A repeated factor of F mod p divides F and F', so it
+    divides 9F - xF' = 8ax + 9b.  For p >= 5 that is linear, or a nonzero
+    constant, or 0 with F = x^9.  At p = 2 it is b: F mod 2 is squarefree
+    for odd b, and x(x + 1)^8 or x^9 for even b.  At p = 3 it is -ax: a
+    repeated factor is x when 3 does not divide a, and F = (x + b)^9 mod 3
+    when it does.  So every repeated factor is linear, a lift of degree >= 2
+    has multiplicity 1, its polygon is one side of length 1, and its
+    residual polynomial over F_q is linear.
+
     Cached: fields and coefficient tuples are immutable and hashable, and
     the sweeps ask for the same small reductions over and over.
     """
     f = F.trim(f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
+    if F.degree > 1 and len(f) > 2:
+        raise ValueError(f"over {F}, factor takes degree <= 1 only")
     unit, monic = pmonic(F, f)
     if len(monic) == 2:
         return Factorization(unit, ((monic, 1),))

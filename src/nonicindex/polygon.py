@@ -315,6 +315,15 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
 
     phi must reduce mod p to an irreducible polynomial, such as a factor
     that gf.factor returned: its residue field is built once, on that trust.
+
+    Over a phi of degree >= 2 each residual polynomial must be linear, since
+    gf.factor factors nothing longer over an extension field.  For
+    F = x^9 + ax + b it always is: a repeated factor of F mod p divides
+    9F - xF' = 8ax + 9b, which is linear for p >= 5 (or F = x^9); at p = 2
+    it is b, so F mod 2 is squarefree for odd b and x(x + 1)^8 or x^9 for
+    even b; at p = 3 it is -ax, so the repeated factor is x, or
+    F = (x + b)^9 mod 3 when 3 | a.  A factor of degree >= 2 is therefore
+    simple, and its polygon is one side of length 1.
     """
     phi = tuple(phi)
     exp, vals = _expansion(F, p, phi)
@@ -435,7 +444,10 @@ def ore_analyze(F, p: int, lift=None) -> OreResult:
     refined.  A given lift is analyzed as given, in place of the one factor
     of F mod p; it raises ValueError when F mod p has more than one
     irreducible factor or the lift does not reduce to it.  Raises
-    NotRegular when some factor stays irregular.
+    NotRegular when some factor stays irregular.  For F other than
+    x^9 + ax + b, a repeated factor of degree >= 2 of F mod p can give a
+    residual polynomial of degree >= 2 over its residue field (see
+    analyze_phi), which raises ValueError.
     """
     field = gf.PrimeField(p)
     fbar = gf.reduce_mod_p(F, p)

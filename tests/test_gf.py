@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -30,9 +31,7 @@ from nonicindex.gf import (
     pdivmod,
     pgcd,
     pmod,
-    pmonic,
     pmul,
-    ppowmod,
     ptrim,
     radical,
     reduce_mod_p,
@@ -105,7 +104,7 @@ def test_count_matches_enumeration():
 
 def _random_poly(rng, field, max_deg):
     deg = rng.randrange(0, max_deg + 1)
-    coeffs = [field.from_int(rng.randrange(field.q)) for _ in range(deg)]
+    coeffs = [rng.randrange(field.p) for _ in range(deg)]
     coeffs.append(field.one)
     return ptrim(coeffs)
 
@@ -126,13 +125,9 @@ def _divides(field, f, g):
     return not pdivmod(field, f, g)[1]
 
 
-@pytest.mark.parametrize(
-    "field",
-    [F2, F3, F5, F7, ExtField(2, (1, 1, 1)), ExtField(2, (1, 1, 0, 1)), ExtField(3, (1, 0, 1))],
-    ids=["F2", "F3", "F5", "F7", "F4", "F8", "F9"],
-)
+@pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=["F2", "F3", "F5", "F7"])
 def test_factors_irreducible_by_trial_division(field):
-    # every reported factor has no monic divisor of degree <= deg/2 (q <= 9)
+    # every reported factor has no monic divisor of degree <= deg/2
     rng = random.Random(field.q)
     for _ in range(60 if field.q <= 3 else 25):
         poly = _random_poly(rng, field, 7)
@@ -149,33 +144,55 @@ def test_factors_irreducible_by_trial_division(field):
 LINEAR_FIELDS = [F5, ExtField(2, (1, 1, 0, 1)), ExtField(3, (1, 0, 1)), ExtField(3, (2, 0, 0, 2, 1))]
 
 
-def _generic_factor(field, f):
-    """factor()'s pipeline for inputs of any degree: squarefree, then
-    distinct-degree, then equal-degree splitting, then the multiplicity loop."""
-    unit, monic = pmonic(field, f)
-    irreducibles = set()
-    for squarefree in gf._squarefree_parts(field, monic):
-        for part, d in distinct_degree(field, squarefree):
-            irreducibles.update(gf._equal_degree_exhaustive(field, part, d))
-    found = []
-    for psi in sorted(irreducibles, key=lambda c: (len(c), c)):
-        mult = 0
-        while _divides(field, monic, psi):
-            monic = pdivmod(field, monic, psi)[0]
-            mult += 1
-        found.append((psi, mult))
-    return gf.Factorization(unit, tuple(found))
+def _elements(field):
+    """Every element of F_p or F_q, from its integer coefficients."""
+    return [field.from_coeffvec(c) for c in itertools.product(range(field.p), repeat=field.degree)]
 
 
 @pytest.mark.parametrize("field", LINEAR_FIELDS, ids=["F5", "F8", "F9", "F81"])
 def test_factor_of_a_linear_polynomial_matches_the_generic_path(field):
+    # what any factorization gives for c0 + c1 y: the unit c1 times the
+    # monic irreducible c0 / c1 + y, once
     rng = random.Random(field.q)
-    elements = list(field.elements())
+    elements = _elements(field)
     for _ in range(40):
-        f = (rng.choice(elements), rng.choice([e for e in elements if e != field.zero]))
-        fact = factor(field, f)
-        assert fact == _generic_factor(field, f)
-        assert expand(field, fact) == f
+        c0, c1 = rng.choice(elements), rng.choice([e for e in elements if e != field.zero])
+        fact = factor(field, (c0, c1))
+        assert fact.unit == c1
+        assert fact.factors == (((field.mul(c0, field.inv(c1)), field.one), 1),)
+
+
+def test_factor_over_an_extension_takes_degree_at_most_1():
+    f4 = ExtField(2, (1, 1, 1))
+    assert factor(f4, ((0, 1),)) == gf.Factorization((0, 1), ())
+    for f in ((1, 0, 1), ((1, 0), (0, 0), (1, 0)), ((0, 1), (1, 0), (0, 0), (1, 1))):
+        with pytest.raises(ValueError):
+            factor(f4, f)
+
+
+@pytest.mark.parametrize("field", LINEAR_FIELDS[1:] + [ExtField(2, (1, 1, 1))],
+                         ids=["F8", "F9", "F81", "F4"])
+def test_ext_field_inverse(field):
+    for a in _elements(field):
+        if a != field.zero:
+            assert field.mul(a, field.inv(a)) == field.one, a
+
+
+def test_repeated_factors_of_trinomials_mod_p_are_linear():
+    # the premise of factor's narrowing to degree <= 1 over extensions: for
+    # every p <= 23 and (a, b) mod p, no factor of degree >= 2 of
+    # x^9 + ax + b mod p is repeated, so over a lift of degree >= 2 the
+    # polygon has length 1 and its residual is linear.  The factors come
+    # from sympy's galoistools, whose algorithms gf does not share.
+    nonlinear = repeated = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for a in range(p):
+            for b in range(p):
+                for psi, mult in gf_factor(_to_sympy(trinomial(a, b)), p, ZZ)[1]:
+                    assert len(psi) == 2 or mult == 1, (p, a, b, psi, mult)
+                    nonlinear += len(psi) > 2
+                    repeated += mult > 1
+    assert (nonlinear, repeated) == (2632, 100)  # both kinds occur, never together
 
 
 def test_factor_returns_a_linear_polynomial_without_splitting(monkeypatch):
@@ -230,7 +247,7 @@ def test_gcd_and_irreducibility_consistency():
 
 def _fp_case(p):
     poly = st.lists(st.integers(0, p - 1), max_size=17).map(ptrim)  # degree <= 16
-    return st.tuples(st.just(p), poly, poly, st.integers(0, 300))
+    return st.tuples(st.just(p), poly, poly)
 
 
 def _to_sympy(f):
@@ -244,7 +261,7 @@ def _from_sympy(c, p):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7, 97)).flatmap(_fp_case))
 def test_fp_arithmetic_matches_sympy_galoistools(case):
-    p, f, g, n = case
+    p, f, g = case
     field = PrimeField(p)
     assert pmul(field, f, g) == _from_sympy(gf_mul(_to_sympy(f), _to_sympy(g), p, ZZ), p)
     assert pgcd(field, f, g) == _from_sympy(gf_gcd(_to_sympy(f), _to_sympy(g), p, ZZ), p)
@@ -258,8 +275,6 @@ def test_fp_arithmetic_matches_sympy_galoistools(case):
     assert pdivmod(field, f + (0, 0), g + (0,)) == (_from_sympy(quo, p), _from_sympy(rem, p))
     assert pmod(field, f, g) == _from_sympy(rem, p)
     assert pmod(field, f + (0, 0), g + (0,)) == _from_sympy(rem, p)  # untrimmed
-    expected = gf_pow_mod(_to_sympy(f), n, _to_sympy(g), p, ZZ)
-    assert ppowmod(field, f, n, g) == _from_sympy(expected, p)
 
 
 def _gcd_operand(p):

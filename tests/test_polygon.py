@@ -261,6 +261,22 @@ def test_ore_analyze_lift_replaces_the_one_factor():
     assert [an.phi for an in res.analyses] == [critical_lift(126, 40130, 3)]
 
 
+def test_ore_analyze_refuses_a_nonlinear_residual_over_an_extension():
+    # F = phi^2 + c for phi = x^2 + x + 1, irreducible mod 2, so F = phi^2
+    # mod 2: a repeated factor of degree 2, which x^9 + ax + b never has.
+    # c = 2 and 8 give a side of degree 1 and a linear residual over F_4;
+    # c = 4 gives the side from (0, 2) to (2, 0), whose residual y^2 + 1
+    # over F_4 gf.factor does not take
+    phi = (1, 1, 1)
+    for c, splitting in ((2, Splitting.of([(2, 2)])), (8, Splitting.of([(2, 2)])), (4, None)):
+        F = zsub(zmul(phi, phi), (-c,))
+        if splitting:
+            assert ore_analyze(F, 2).splitting == splitting
+        else:
+            with pytest.raises(ValueError):
+                ore_analyze(F, 2)
+
+
 @pytest.mark.parametrize("a, b, p, naive, refined, calls", [
     (-252, -235, 3, (2, 1), (2, 1), 2),  # the nudge gains nothing: kept irregular
     (-225, -262, 3, (2, 1), (-13, 1), 3),
