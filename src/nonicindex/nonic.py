@@ -39,7 +39,7 @@ from .polygon import (
     ExactDivisorError,
     NotRegularError,
     Splitting,
-    _expansion,
+    _leading_terms,
     ore_analyze,
     trinomial,
     zeval,
@@ -510,12 +510,12 @@ def _unramified_split(F, p: int) -> Splitting:
     degree >= 1, so psi(2) >= 2, and psi | F gives psi(2) | F(2): only a
     psi that passes this test is divided into F: F mod psi over Z is the
     first digit of F's psi-adic expansion, that of x^9 (cached per psi)
-    plus ax + b.
+    plus ax + b, and it is zero when its valuation is infinite.
     """
     pairs = []
     f2 = zeval(F, 2)
     for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
-        if psi != F and f2 % zeval(psi, 2) == 0 and not _expansion(F, p, psi)[0][0]:
+        if psi != F and f2 % zeval(psi, 2) == 0 and _leading_terms(F, p, psi)[0][0] == INFINITY:
             raise ExactDivisorError("phi divides F exactly; F is reducible")
         pairs.append((1, gf.pdeg(psi)))
     return Splitting.of(pairs)

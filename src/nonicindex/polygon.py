@@ -14,21 +14,33 @@ Integer polynomials are tuples of ints, lowest degree first.  The records
 (Side, NewtonPolygon, SideData, PhiAnalysis, Splitting, OreResult) are
 NamedTuples: immutable and hashable, and cheap to build once per lift.
 
-Two bounded caches hold what a lift determines apart from F.  The
-phi-adic expansion is linear in F, so for F = x^n + ax + b the digits of
-x^n and their valuations, keyed on (n, phi, p), serve every a and b, and
-ax + b changes only digit 0, or digits 0 and 1 when phi = x - s.  The
-principal polygon and its lattice count depend only on the valuations,
-and are keyed on that tuple.  Neither is keyed on F, a or b: such a
-cache would save work only when the same trinomial comes again, as in a
-seeded sweep run twice, and none on new inputs.  The cached values are
-tuples and NamedTuples, never edited.
+First-order analysis reads two things from each phi-adic digit a_i, its
+leading term: the valuation v_i = nu_p(a_i) and the residues mod p of
+a_i / p^(v_i), or (INFINITY, ()) for a zero digit.  The valuations fix the
+polygon and its lattice count, the residues at the points on a side are
+the coefficients of its residual polynomial, and the factorizations and
+the (e, f) pairs follow from those.  So two bounded caches hold all the
+per-lift work:
+- _power_digits, keyed on (n, phi, p): the digits of x^n and their
+  leading terms.  The expansion is linear in F, so for F = x^n + ax + b
+  they serve every a and b: ax + b changes only digit 0, or digits 0 and
+  1 when phi = x - s, and only those leading terms are taken again.
+- _analysis, keyed on (phi, p, leading terms): the whole PhiAnalysis,
+  residue field, residuals and factorizations included.
+Neither is keyed on F, a or b: such a cache would save work only when
+the same trinomial comes again, as in a seeded sweep run twice, and none
+on new inputs, whereas many inputs share their leading terms (a cold
+round of the p = 2 and p = 3 agreement sweeps makes some 27,000 lifts
+with under 600 distinct keys).  The cached values are tuples and
+NamedTuples, never edited.  Besides these, ore_analyze takes F_p from a
+small cache per p, and gf.factor has its own cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import gf
@@ -126,39 +138,50 @@ def coeff_val(p: int, c) -> int | float:
     return best
 
 
+_ZERO_LEAD = (INFINITY, ())
+
+
+def _lead(p: int, c) -> tuple:
+    """Leading term of a digit c: its valuation v = coeff_val(p, c) and the
+    residues mod p of c / p^v, trimmed; (INFINITY, ()) for c = 0."""
+    v = coeff_val(p, c)
+    if v == INFINITY:
+        return _ZERO_LEAD
+    q = p**v
+    return v, ztrim([x // q % p for x in c])
+
+
 @lru_cache(maxsize=256)
 def _power_digits(n: int, phi: tuple, p: int) -> tuple:
-    """(digits, valuations) of the phi-adic expansion of x^n, as tuples."""
+    """(digits, leading terms) of the phi-adic expansion of x^n, as tuples."""
     digits = tuple(phi_expand((0,) * n + (1,), phi))
-    return digits, tuple(coeff_val(p, c) for c in digits)
+    return digits, tuple(_lead(p, c) for c in digits)
 
 
-def _expansion(F, p: int, phi: tuple) -> tuple:
-    """(digits, valuations) of phi_expand(F, phi), as tuples.
+def _leading_terms(F, p: int, phi: tuple) -> tuple:
+    """The leading term (_lead) of each digit of phi_expand(F, phi).
 
     For F = x^n + ax + b with n >= 2 they are x^n's, from _power_digits,
-    with ax + b added: to digit 0 when deg phi >= 2, and as
+    except where ax + b is added: to digit 0 when deg phi >= 2, and as
     a*(x - s) + (b + a*s) to digits 1 and 0 when phi = x - s.  Only the
-    digits that change have their valuations taken again.  Any other F is
-    expanded in full.
+    digits that change have their leading terms taken again.  Any other F
+    is expanded in full.
     """
     n = len(F) - 1
     if n < 2 or F[n] != 1 or any(F[2:n]):
-        exp = tuple(phi_expand(F, phi))
-        return exp, tuple(coeff_val(p, c) for c in exp)
+        return tuple(_lead(p, c) for c in phi_expand(F, phi))
     b, a = F[0], F[1]
-    digits, vals = _power_digits(n, phi, p)
+    digits, leads = _power_digits(n, phi, p)
     if len(phi) == 2:
         c0 = (digits[0] or (0,))[0] + b - a * phi[0]
         c1 = (digits[1] or (0,))[0] + a
-        low = ((c0,) if c0 else (), (c1,) if c1 else ())
+        low = (_lead(p, (c0,)), _lead(p, (c1,)))
     else:
         d0 = list(digits[0]) + [0] * (2 - len(digits[0]))
         d0[0] += b
         d0[1] += a
-        low = (ztrim(d0),)
-    k = len(low)
-    return low + digits[k:], tuple(coeff_val(p, c) for c in low) + vals[k:]
+        low = (_lead(p, d0),)
+    return low + leads[len(low):]
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +262,6 @@ def lattice_index(polygon: NewtonPolygon) -> int:
     return total
 
 
-@lru_cache(maxsize=1024)
-def _polygon_and_count(vals: tuple) -> tuple:
-    """(principal polygon, lattice count) of an expansion's valuations."""
-    polygon = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
-    return polygon, lattice_index(polygon)
-
-
 # ---------------------------------------------------------------------------
 # residual polynomials and per-phi analysis
 
@@ -261,22 +277,20 @@ def residue_field(p: int, phibar):
     return gf.ExtField(p, phibar, _irreducible=True)
 
 
-def residual_poly(expansion, vals, field, side: Side) -> tuple:
+def residual_poly(leads, field, side: Side) -> tuple:
     """Residual polynomial of the side: t_d y^d + ... + t_0 over field = F_phi.
 
-    vals are the p-adic valuations of the expansion's coefficients.  t_j is
+    leads are the leading terms (_lead) of the expansion's digits.  t_j is
     the residue of a_{x0+je} / p^(y0-jh) when the lattice point (x0+je, v)
     lies on the side, and 0 when it lies strictly above.
     """
-    p = field.p
     coeffs = []
     for j in range(side.degree + 1):
-        i = side.x0 + j * side.e
+        v, residues = leads[side.x0 + j * side.e]
         target = side.y0 - j * side.h
-        if vals[i] == target:
-            q = p**target
-            coeffs.append(field.from_coeffvec([x // q for x in expansion[i]]))
-        elif vals[i] > target:
+        if v == target:
+            coeffs.append(field.from_coeffvec(residues))
+        elif v > target:
             coeffs.append(field.zero)
         else:  # pragma: no cover - would mean the side is not on the hull
             raise AssertionError("expansion point below its own side")
@@ -304,6 +318,7 @@ class PhiAnalysis(NamedTuple):
     sides: tuple  # SideData per polygon side
     index: int  # deg(phi) * lattice count
     regular: bool  # every side's residual polynomial is squarefree
+    primes: tuple  # (e, deg(phi) * deg(psi)) per side and residual factor psi
 
 
 class ExactDivisorError(ValueError):
@@ -313,6 +328,8 @@ class ExactDivisorError(ValueError):
 def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     """Expansion, principal polygon, residuals and index for one lift phi.
 
+    The record comes from _analysis, cached on phi, p and the leading terms
+    of F's digits: every F whose digits share them gets the same record.
     phi must reduce mod p to an irreducible polynomial, such as a factor
     that gf.factor returned: its residue field is built once, on that trust.
 
@@ -326,26 +343,34 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     simple, and its polygon is one side of length 1.
     """
     phi = tuple(phi)
-    exp, vals = _expansion(F, p, phi)
-    if vals[0] == INFINITY:
+    leads = _leading_terms(F, p, phi)
+    if leads[0] == _ZERO_LEAD:
         raise ExactDivisorError("phi divides F exactly; F is reducible")
-    polygon, count = _polygon_and_count(vals)
+    return _analysis(phi, p, leads)
+
+
+@lru_cache(maxsize=1024)
+def _analysis(phi: tuple, p: int, leads: tuple) -> PhiAnalysis:
+    """analyze_phi's record, which the leading terms of F's digits fix."""
+    vals = tuple(v for v, _ in leads)
+    polygon = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
     field = residue_field(p, gf.reduce_mod_p(phi, p))
-    sides = []
+    m = pdeg(phi)
+    sides, primes = [], []
     for side in polygon.sides:
-        res = residual_poly(exp, vals, field, side)
-        sides.append(
-            SideData(side=side, field=field, residual=res,
-                     factorization=gf.factor(field, res))
-        )
+        res = residual_poly(leads, field, side)
+        factorization = gf.factor(field, res)
+        sides.append(SideData(side=side, field=field, residual=res, factorization=factorization))
+        primes += [(side.e, m * pdeg(psi)) for psi, _ in factorization.factors]
     return PhiAnalysis(
         phi=phi,
         p=p,
         expansion_vals=vals,
         polygon=polygon,
         sides=tuple(sides),
-        index=pdeg(phi) * count,
+        index=m * lattice_index(polygon),
         regular=all(sd.squarefree for sd in sides),
+        primes=tuple(primes),
     )
 
 
@@ -413,7 +438,7 @@ class Splitting(NamedTuple):
 
     @staticmethod
     def of(pairs) -> "Splitting":
-        return Splitting(primes=tuple(sorted(pairs, key=lambda ef: (ef[1], ef[0]))))
+        return Splitting(primes=tuple(sorted(pairs, key=itemgetter(1, 0))))
 
     @property
     def mass(self) -> int:
@@ -435,6 +460,9 @@ class OreResult(NamedTuple):
     analyses: tuple
 
 
+_prime_field = lru_cache(maxsize=64)(gf.PrimeField)  # one F_p per p for ore_analyze
+
+
 def ore_analyze(F, p: int, lift=None) -> OreResult:
     """Splitting of p and the Ore index, via one analyzed lift per factor.
 
@@ -449,29 +477,26 @@ def ore_analyze(F, p: int, lift=None) -> OreResult:
     residual polynomial of degree >= 2 over its residue field (see
     analyze_phi), which raises ValueError.
     """
-    field = gf.PrimeField(p)
+    F = tuple(F)
     fbar = gf.reduce_mod_p(F, p)
     n = pdeg(F)
     if pdeg(fbar) != n:
         raise ValueError("F must be monic of positive degree")
-    factors = gf.factor(field, fbar).factors
+    factors = gf.factor(_prime_field(p), fbar).factors
     if lift is not None and (len(factors) != 1 or gf.reduce_mod_p(lift, p) != factors[0][0]):
         raise ValueError("lift does not reduce to the one factor of F mod p")
     analyses = []
     pairs = []
+    regular = True
     for phibar, _mult in factors:
         phi = lift or phibar
-        if phi == tuple(F):  # p is inert
+        if phi == F:  # p is inert
             return OreResult(splitting=Splitting.of([(1, n)]), index=0, analyses=())
         analysis = (analyze_phi if lift else analyze_phi_refined)(F, p, phi)
         analyses.append(analysis)
-        if not analysis.regular:
-            continue
-        m = pdeg(phibar)
-        for sd in analysis.sides:
-            for psi, _one in sd.factorization.factors:
-                pairs.append((sd.side.e, m * pdeg(psi)))
-    if any(not a.regular for a in analyses):
+        pairs += analysis.primes
+        regular = regular and analysis.regular
+    if not regular:
         raise NotRegularError(p, analyses)
     splitting = Splitting.of(pairs)
     if splitting.mass != n:

@@ -11,8 +11,10 @@ from nonicindex.nonic import critical_lift, critical_shift, disc, engine_split
 from nonicindex.polygon import (
     ExactDivisorError,
     NotRegularError,
+    PhiAnalysis,
+    SideData,
     Splitting,
-    _expansion,
+    _leading_terms,
     _power_digits,
     analyze_phi,
     analyze_phi_refined,
@@ -151,10 +153,10 @@ def test_hull_validity_random():
 def test_residual_examples():
     # (16, 8), p=2, phi=x: residual y^3 + 1 = (y+1)(y^2+y+1)
     F = trinomial(16, 8)
-    exp = phi_expand(F, (0, 1))
+    leads = _leading_terms(F, 2, (0, 1))
     an = analyze_phi(F, 2, (0, 1))
     field = residue_field(2, (0, 1))
-    res = residual_poly(exp, an.expansion_vals, field, an.polygon.sides[0])
+    res = residual_poly(leads, field, an.polygon.sides[0])
     assert res == (1, 0, 0, 1)
     fact = gf.factor(field, res)
     assert dict(fact.factors) == {(1, 1): 1, (1, 1, 1): 1}
@@ -478,9 +480,13 @@ def test_residue_fields_match_checked_construction():
                         assert gf.ExtField(p, phibar) == residue_field(p, phibar)
 
 
-def _full_expansion(F, p, phi):
-    exp = phi_expand(F, phi)
-    return tuple(exp), tuple(coeff_val(p, c) for c in exp)
+def _full_leads(F, p, phi):
+    """(v, residues mod p of a_i / p^v) of each full digit a_i, v = coeff_val."""
+    leads = []
+    for c in phi_expand(F, phi):
+        v = coeff_val(p, c)
+        leads.append((v, ztrim([x // p**v % p for x in c])) if c else (INFINITY, ()))
+    return tuple(leads)
 
 
 def _lifts(a, b, p):
@@ -494,10 +500,9 @@ def _lifts(a, b, p):
             lifts.append(analyze_phi_refined(F, p, phibar).phi)
         except ExactDivisorError:
             pass
-    d = disc(a, b)
-    if d:
+    if disc(a, b):
         try:
-            lifts.append(ztrim((-critical_shift(a, b, p, val(p, d) + 10), 1)))
+            lifts.append(critical_lift(a, b, p))
         except ValueError:
             pass
     return lifts
@@ -513,19 +518,89 @@ HUGE = st.one_of(
 @given(HUGE, HUGE, st.sampled_from((2, 3, 5, 7)), SCALE, SCALE,
        st.lists(st.integers(-50, 50), min_size=9, max_size=9))
 def test_cached_expansion_matches_phi_expand(a, b, p, ka, kb, low):
-    # the digits of x^9 come from the cache and ax + b is added; naive,
-    # refined and shifted lifts, a degree-9 lift other than F, and an F
-    # that is no trinomial (which must not touch the x^n cache) all give
-    # phi_expand's digits and coeff_val's valuations
+    # the leading terms of x^9's digits come from the cache and ax + b is
+    # added; naive, refined and shifted lifts, a degree-9 lift other than
+    # F, and an F that is no trinomial (which must not touch the x^n
+    # cache) all give the leading terms of phi_expand's digits
     a, b = a * p**ka, b * p**kb
     F = trinomial(a, b)
     lifts = _lifts(a, b, p)
     for phi in lifts + [tuple(low) + (1,)]:
-        assert _expansion(F, p, phi) == _full_expansion(F, p, phi), (a, b, p, phi)
+        assert _leading_terms(F, p, phi) == _full_leads(F, p, phi), (a, b, p, phi)
     k = 2 + low[1] % 7  # a term x^k, 2 <= k <= 8, makes F no trinomial
     G = F[:k] + (low[0] or 1,) + F[k + 1:]
     before = _power_digits.cache_info()
     for phi in lifts:
-        assert _expansion(G, p, phi) == _full_expansion(G, p, phi)
+        assert _leading_terms(G, p, phi) == _full_leads(G, p, phi)
     after = _power_digits.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _reference_analysis(F, p, phi) -> PhiAnalysis:
+    """analyze_phi with no cache: the polygon of the full digits'
+    valuations, and each residual coefficient divided out of its digit."""
+    digits = phi_expand(F, phi)
+    vals = tuple(coeff_val(p, c) for c in digits)
+    if vals[0] == INFINITY:
+        raise ExactDivisorError("phi divides F")
+    poly = principal_polygon([(i, v) for i, v in enumerate(vals) if v != INFINITY])
+    field = residue_field(p, gf.reduce_mod_p(phi, p))
+    sides = []
+    for side in poly.sides:
+        res = []
+        for j in range(side.degree + 1):
+            i, target = side.x0 + j * side.e, side.y0 - j * side.h
+            on_side = vals[i] == target
+            res.append(field.from_coeffvec([x // p**target for x in digits[i]]) if on_side
+                       else field.zero)
+        sides.append(SideData(side, field, tuple(res), gf.factor(field, tuple(res))))
+    m = gf.pdeg(phi)
+    primes = tuple((sd.side.e, m * gf.pdeg(psi))
+                   for sd in sides for psi, _ in sd.factorization.factors)
+    return PhiAnalysis(tuple(phi), p, vals, poly, tuple(sides), m * lattice_index(poly),
+                       all(sd.squarefree for sd in sides), primes)
+
+
+def _check_analysis(F, p, phi):
+    """analyze_phi(F, p, phi) equals the reference, or raises as it does."""
+    try:
+        expected = _reference_analysis(F, p, phi)
+    except ValueError as exc:  # phi divides F, or a residual gf.factor refuses
+        with pytest.raises(type(exc)):
+            analyze_phi(F, p, phi)
+        return None
+    got = analyze_phi(F, p, phi)
+    assert got == expected, (F, p, phi)
+    return got
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(HUGE, HUGE, st.sampled_from((2, 3, 5, 7)), SCALE, SCALE, st.integers(1, 10**6),
+       st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+def test_cached_analysis_matches_a_reference(a, b, p, ka, kb, k, low):
+    # analyze_phi's record is cached on (phi, p, leading terms), never on F.
+    # Trinomials of up to 420 digits on naive, refined and critical lifts,
+    # with b moved by j * p^v0 (a new residue of digit 0), and no-trinomials
+    # on their own naive and refined lifts, all match the reference; moving
+    # b by k * p^(v0 + 1) keeps every leading term and hits the same record
+    a, b = a * p**ka, b * p**kb
+    F = trinomial(a, b)
+    for phi in _lifts(a, b, p):
+        got = _check_analysis(F, p, phi)
+        if got is None:
+            continue
+        v0 = got.expansion_vals[0]
+        for j in range(1, p):
+            _check_analysis(trinomial(a, b + j * p**v0), p, phi)
+        G = trinomial(a, b + k * p ** (v0 + 1))
+        assert _leading_terms(G, p, phi) == _leading_terms(F, p, phi)
+        assert analyze_phi(G, p, phi) is got
+    i = 2 + low[1] % 7  # a term x^i, 2 <= i <= 8, makes F no trinomial
+    G = F[:i] + (low[0] or 1,) + F[i + 1:]
+    for phibar, _m in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(G, p)).factors:
+        if _check_analysis(G, p, phibar) is not None:
+            try:
+                refined = analyze_phi_refined(G, p, phibar)
+            except ValueError:
+                continue  # a nudged lift that divides G, or a residual gf.factor refuses
+            _check_analysis(G, p, refined.phi)

@@ -113,7 +113,7 @@ def test_seeded_reproducibility():
     assert r1.rows == r2.rows
 
 
-POLYGON_CACHES = (polygon._power_digits, polygon._polygon_and_count)
+POLYGON_CACHES = (polygon._power_digits, polygon._analysis)
 
 
 def test_polygon_caches_change_no_sweep_row():
