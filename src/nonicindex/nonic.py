@@ -5,15 +5,16 @@ gives the exact valuation nu_p(i(K)) where it is determined, and the
 splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
 ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
 3 not dividing a), Dedekind's theorem settles p: it is unramified, and
-pZ_K splits like F mod p, whose factor degrees gf.factor gives.  The
-other first-order-resolvable branches run through the polygon engine;
-the branches that genuinely require higher-order data are encoded as
-congruence tables keyed on (a, b) residues plus nu_p(Delta) and
-Delta_p mod 8 or mod 3.  No branch re-checks its shape: the deep
-(x - s)^9 shapes at 3 are checked by the agreement sweep, where
-engine_split analyzes the critical lift x - u, u = -9b/(8a).  Every
-exact valuation is produced by the Engstrom lookup on the splitting
-type, so values have a single source of truth.
+pZ_K splits like F mod p, one prime (1, deg psi) per factor psi, which is
+ore_analyze's rule for a simple factor.  The other first-order-resolvable
+branches run through the polygons of the same engine; the branches that
+genuinely require higher-order data are encoded as congruence tables
+keyed on (a, b) residues plus nu_p(Delta) and Delta_p mod 8 or mod 3.
+No branch re-checks its shape: the deep (x - s)^9 shapes at 3 are
+checked by the agreement sweep, where engine_split analyzes the critical
+lift x - u, u = -9b/(8a).  Every exact valuation is produced by the
+Engstrom lookup on the splitting type, so values have a single source of
+truth.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .polygon import (
     ExactDivisorError,
     NotRegularError,
     Splitting,
-    _leading_terms,
     ore_analyze,
     trinomial,
     zeval,
@@ -498,40 +498,18 @@ def engine_split(a: int, b: int, p: int):
     return ore_analyze(F, 3, lift=critical_lift(a, b, 3))
 
 
-def _unramified_split(F, p: int) -> Splitting:
-    """The splitting of a prime p that does not divide disc(F).
-
-    F mod p is squarefree, so by Dedekind's theorem p is unramified,
-    Z[alpha] is p-maximal and pZ_K splits like F mod p: one prime (1, deg psi)
-    per irreducible factor psi.  This is what ore_analyze finds, each naive
-    lift having a one-sided polygon of length 1, without the polygons.  Like
-    it, raises ExactDivisorError when a naive lift psi other than F itself
-    (p inert) divides F over Z.  A lift psi has coefficients in [0, p) and
-    degree >= 1, so psi(2) >= 2, and psi | F gives psi(2) | F(2): only a
-    psi that passes this test is divided into F: F mod psi over Z is the
-    first digit of F's psi-adic expansion, that of x^9 (cached per psi)
-    plus ax + b, and it is zero when its valuation is infinite.
-    """
-    pairs = []
-    f2 = zeval(F, 2)
-    for psi, _one in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
-        if psi != F and f2 % zeval(psi, 2) == 0 and _leading_terms(F, p, psi)[0][0] == INFINITY:
-            raise ExactDivisorError("phi divides F exactly; F is reducible")
-        pairs.append((1, gf.pdeg(psi)))
-    return Splitting.of(pairs)
-
-
 def nu2(a: int, b: int) -> PrimeEntry:
     """nu_2(i(K)), splitting of 2Z_K and the matched rule.
 
     Input must be normalized and irreducible.  For b odd, 2 does not divide
-    disc(a, b), and the splitting is read off the factor degrees of F mod 2.
+    disc(a, b), F mod 2 is squarefree, and ore_analyze reads the splitting
+    off its factor degrees with no polygon.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if b % 2:
-        return _entry(2, _unramified_split(F, 2), "2:unit-b")
+        return _entry(2, ore_analyze(F, 2).splitting, "2:unit-b")
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
@@ -583,16 +561,17 @@ def nu3(a: int, b: int) -> PrimeEntry:
     """nu_3(i(K)), splitting of 3Z_K and the matched rule.
 
     Input must be normalized and irreducible.  For 3 not dividing a, 3 does
-    not divide disc(a, b), and the splitting is read off the factor degrees
-    of F mod 3.  Where F = (x - s)^9 mod 3 and the lift x - s stays
-    irregular, the "deep" shape is a lookup on nu_3(disc) and Delta_3 mod 3
-    with no engine call; engine_split's critical lift is what checks it.
+    not divide disc(a, b), F mod 3 is squarefree, and ore_analyze reads the
+    splitting off its factor degrees with no polygon.  Where
+    F = (x - s)^9 mod 3 and the lift x - s stays irregular, the "deep" shape
+    is a lookup on nu_3(disc) and Delta_3 mod 3 with no engine call;
+    engine_split's critical lift is what checks it.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     F = trinomial(a, b)
     if a % 3:
-        return _entry(3, _unramified_split(F, 3), "3:unit-a")
+        return _entry(3, ore_analyze(F, 3).splitting, "3:unit-a")
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
         if va >= 8 and vb >= 9:
@@ -740,6 +719,8 @@ def classify(a: int, b: int) -> ClassifierReport:
     dfac, leftover = factored
     for p in sorted(dfac):
         try:
+            # no splitting above 7: gf.factor's exhaustive equal-degree
+            # search takes 0.6-0.8 s on some F mod p at p = 19 and 23
             split = engine_split(a, b, p).splitting if p <= 7 else None
         except NotRegularError:  # pragma: no cover - not expected for p >= 5
             split = None

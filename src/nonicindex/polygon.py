@@ -340,7 +340,8 @@ def analyze_phi(F, p: int, phi) -> PhiAnalysis:
     it is b, so F mod 2 is squarefree for odd b and x(x + 1)^8 or x^9 for
     even b; at p = 3 it is -ax, so the repeated factor is x, or
     F = (x + b)^9 mod 3 when 3 | a.  A factor of degree >= 2 is therefore
-    simple, and its polygon is one side of length 1.
+    simple, and its polygon is one side of length 1; ore_analyze takes such
+    a factor by Dedekind's rule, so it builds no extension field for F.
     """
     phi = tuple(phi)
     leads = _leading_terms(F, p, phi)
@@ -464,18 +465,24 @@ _prime_field = lru_cache(maxsize=64)(gf.PrimeField)  # one F_p per p for ore_ana
 
 
 def ore_analyze(F, p: int, lift=None) -> OreResult:
-    """Splitting of p and the Ore index, via one analyzed lift per factor.
+    """Splitting of p and the Ore index, by Dedekind's rule and the polygons.
 
-    When F mod p is irreducible and F is its own lift (its coefficients lie
-    in [0, p)), p is inert: the splitting is (1, deg F), the index 0, and
-    there is no analysis.  Each factor of F mod p is its own naive lift,
-    refined.  A given lift is analyzed as given, in place of the one factor
-    of F mod p; it raises ValueError when F mod p has more than one
-    irreducible factor or the lift does not reduce to it.  Raises
-    NotRegular when some factor stays irregular.  For F other than
-    x^9 + ax + b, a repeated factor of degree >= 2 of F mod p can give a
-    residual polynomial of degree >= 2 over its residue field (see
-    analyze_phi), which raises ValueError.
+    A factor psi of F mod p of multiplicity 1 is one prime (1, deg psi) and
+    adds 0 to the index, with no analysis: its naive lift's polygon is one
+    side from (0, v0) to (1, 0).  Like analyze_phi, this raises
+    ExactDivisorError when such a psi of degree below deg F divides F over
+    Z.  psi is monic with coefficients in [0, p), so psi(2) >= 2, and
+    psi | F gives psi(2) | F(2): only a psi that passes this test has
+    F mod psi, the first digit of F's psi-adic expansion, taken.
+
+    Each repeated factor of F mod p is its own naive lift, refined, and
+    adds analyze_phi's primes and index.  A given lift is analyzed as
+    given, in place of the one factor of F mod p; it raises ValueError when
+    F mod p has more than one irreducible factor or the lift does not
+    reduce to it.  Raises NotRegular when some analysis stays irregular.
+    For F other than x^9 + ax + b, a repeated factor of degree >= 2 of
+    F mod p can give a residual polynomial of degree >= 2 over its residue
+    field (see analyze_phi), which raises ValueError.
     """
     F = tuple(F)
     fbar = gf.reduce_mod_p(F, p)
@@ -485,16 +492,19 @@ def ore_analyze(F, p: int, lift=None) -> OreResult:
     factors = gf.factor(_prime_field(p), fbar).factors
     if lift is not None and (len(factors) != 1 or gf.reduce_mod_p(lift, p) != factors[0][0]):
         raise ValueError("lift does not reduce to the one factor of F mod p")
-    analyses = []
-    pairs = []
-    regular = True
-    for phibar, _mult in factors:
-        phi = lift or phibar
-        if phi == F:  # p is inert
-            return OreResult(splitting=Splitting.of([(1, n)]), index=0, analyses=())
-        analysis = (analyze_phi if lift else analyze_phi_refined)(F, p, phi)
+    f2 = zeval(F, 2)
+    analyses, pairs, index, regular = [], [], 0, True
+    for phibar, mult in factors:
+        if mult == 1 and lift is None:
+            m = pdeg(phibar)
+            if m < n and not f2 % zeval(phibar, 2) and _leading_terms(F, p, phibar)[0] == _ZERO_LEAD:
+                raise ExactDivisorError("phi divides F exactly; F is reducible")
+            pairs.append((1, m))
+            continue
+        analysis = (analyze_phi if lift else analyze_phi_refined)(F, p, lift or phibar)
         analyses.append(analysis)
         pairs += analysis.primes
+        index += analysis.index
         regular = regular and analysis.regular
     if not regular:
         raise NotRegularError(p, analyses)
@@ -503,11 +513,7 @@ def ore_analyze(F, p: int, lift=None) -> OreResult:
         raise AssertionError(
             f"splitting mass {splitting.mass} != deg F = {n}"
         )  # pragma: no cover
-    return OreResult(
-        splitting=splitting,
-        index=sum(a.index for a in analyses),
-        analyses=tuple(analyses),
-    )
+    return OreResult(splitting=splitting, index=index, analyses=tuple(analyses))
 
 
 # ---------------------------------------------------------------------------

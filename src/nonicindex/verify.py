@@ -199,11 +199,12 @@ def sweep_agreement(
     divisibility verdict must equal the Engstrom test on that splitting,
     and the classifier's claimed splitting (when it states one) must match
     it.  On p = 2 cells with b odd (and p = 3 cells with 3 not dividing a)
-    the classifier reads its splitting off the degrees of F mod p, not from
-    the engine, so there the check compares two independent computations.
-    NotRegular lifts are counted as skipped.  For p in {5, 7} the
-    check is the residue-degree bound: no f ever has more primes than
-    monic irreducibles, so nu_p = 0.
+    both sides take ore_analyze's Dedekind rule for simple factors, so
+    there the check compares a computation with itself; tier-1 compares
+    that rule with the polygons of the naive lifts.  NotRegular lifts are
+    counted as skipped.  For p in {5, 7} the check is the residue-degree
+    bound: no f ever has more primes than monic irreducibles, so
+    nu_p = 0.
     """
     if p not in SUITE_PRIMES["agreement"]:
         raise ValueError("agreement sweep runs at p in {2, 3, 5, 7}")

@@ -4,9 +4,10 @@ perfbench/spans.py wraps program functions by (module, attribute) name.  A
 renamed or moved function would make a traced benchmark run crash, or stop
 recording a layer, so this test reads spans.py (without writing anything
 under perfbench/) and checks that every name resolves, that install() and
-uninstall() leave the program as they found it, and that a classify call
-records the factorer's span through the name nonic calls it by, and the
-engine's analyze_phi and residue-field spans.
+uninstall() leave the program as they found it, that a classify call
+records the factorer's span through the name nonic calls it by and the
+engine's analyze_phi span, and that an analysis over F_4 records the
+residue-field span.
 """
 
 import importlib
@@ -68,13 +69,21 @@ def test_install_then_uninstall_restores_the_program(spans, program):
         during = _attributes(spans, program)
         assert all(x is not y for x, y in zip(before, during))
         program["nonic"].classify(51, 122)
+        classified = tracer.totals()
+        # x^2 + x + 1 divides x^9 + 2x + 1 mod 2; its residue field is F_4
+        polygon = program["polygon"]
+        polygon.analyze_phi(polygon.trinomial(2, 1), 2, (1, 1, 1))
     finally:
         tracer.uninstall()
     assert all(x is y for x, y in zip(before, _attributes(spans, program)))
+    assert classified["nonic.classify"]["calls"] == 1
+    assert classified["nonic.bounded_factor"]["calls"] >= 1
+    # the engine runs through the names behind the per-layer metrics: at
+    # p = 5, F = (x + 1)^2 g mod 5 with g of degree 7; the repeated factor
+    # takes one analysis, and g Dedekind's rule, with no residue field
+    assert classified["polygon.analyze_phi"]["calls"] == 1
+    assert "gf.ExtField" not in classified
     totals = tracer.totals()
-    assert totals["nonic.classify"]["calls"] == 1
-    assert totals["nonic.bounded_factor"]["calls"] >= 1
-    # the engine runs through the names behind the per-layer metrics
     assert totals["polygon.analyze_phi"]["calls"] == 2
     assert totals["gf.ExtField"]["calls"] == 1
     assert tracer.counts["arith.is_prime.calls"] >= 1

@@ -6,9 +6,11 @@ tests/data/engine_golden.jsonl.gz holds one JSON line per record:
   2, 3, 5 and 7: a third of the pairs have up to 4 digits, a third 20-30
   and a third 40-45 digits, and about two in five are scaled to
   (a p^8, b p^9), which sends some of them down the engine's refinement
-  path.  A line holds the splitting, the index and each analysis's phi,
-  expansion valuations and polygon vertices; where ore_analyze raises, it
-  holds the error's class and message instead;
+  path.  A line holds the splitting, the index, and the phi, expansion
+  valuations and polygon vertices of the analysis of each repeated factor
+  of F mod p, its refined lift; a simple factor takes Dedekind's rule and
+  has no analysis.  Where ore_analyze raises, the line holds the error's
+  class and message instead;
 - the CSV rows of sweep_agreement(2, 64, 1, 1), and of
   sweep_agreement(3, 81, 1, 1) over the classes with 3 | a.
 

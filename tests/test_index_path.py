@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, nextprime
 
-from nonicindex import gf, nonic
+from nonicindex import gf, nonic, polygon
 from nonicindex.nonic import (
     _CERT_PRIMES,
     Certificate,
@@ -29,7 +29,14 @@ from nonicindex.nonic import (
     nu2,
     nu3,
 )
-from nonicindex.polygon import ExactDivisorError, ore_analyze, trinomial, zeval
+from nonicindex.polygon import (
+    ExactDivisorError,
+    Splitting,
+    analyze_phi,
+    ore_analyze,
+    trinomial,
+    zeval,
+)
 
 
 def _scanned_root(a, b):
@@ -134,6 +141,25 @@ def _splitting_or_error(split, *args):
         return ExactDivisorError
 
 
+def _naive_splitting(F, p):
+    """The splitting from analyze_phi on the naive lift of each factor of
+    F mod p, or ExactDivisorError: the polygons, not ore_analyze's rule for
+    simple factors.  A lift equal to F (p inert) divides F, so it is taken
+    as the one prime (1, deg F) without an analysis."""
+    pairs = []
+    for phibar, _ in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
+        if phibar == F:
+            pairs.append((1, gf.pdeg(F)))
+            continue
+        try:
+            analysis = analyze_phi(F, p, phibar)
+        except ExactDivisorError:
+            return ExactDivisorError
+        assert analysis.regular and analysis.index == 0
+        pairs += analysis.primes
+    return Splitting.of(pairs)
+
+
 # integers of 1-60 digits
 DIGITS_1_60 = st.integers(1, 60).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1))
 
@@ -149,17 +175,16 @@ DIGITS_1_60 = st.integers(1, 60).flatmap(lambda d: st.integers(-(10**d) + 1, 10*
 @example(1, 1, 1)  # reducible: x^2 + x + 1 divides F, and F mod 2 has that factor
 def test_unramified_splitting_matches_the_engine(a0, b0, scale):
     # b odd or 3 not dividing a: p in {2, 3} does not divide disc(a, b), and
-    # nu2 or nu3 reads the splitting off the degrees of F mod p.  The polygon
-    # engine must give the same splitting, or raise the same error.
+    # nu2 or nu3 takes ore_analyze's rule for simple factors, which reads
+    # the splitting off the degrees of F mod p.  The polygons of the naive
+    # lifts must give the same splitting, or raise the same error.
     a, b = a0 * scale**8, b0 * scale**9
     if b % 2:
         assert disc(a, b) % 2
-        assert _splitting_or_error(nu2, a, b) == _splitting_or_error(
-            ore_analyze, trinomial(a, b), 2)
+        assert _splitting_or_error(nu2, a, b) == _naive_splitting(trinomial(a, b), 2)
     if a % 3 and b:
         assert disc(a, b) % 3
-        assert _splitting_or_error(nu3, a, b) == _splitting_or_error(
-            ore_analyze, trinomial(a, b), 3)
+        assert _splitting_or_error(nu3, a, b) == _naive_splitting(trinomial(a, b), 3)
 
 
 def test_certificate_proves_without_a_root_search(monkeypatch):
@@ -217,17 +242,27 @@ def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch):
                 Certificate.REDUCIBLE, f"integer root x = {r}"), (a, b)
 
 
-def test_unramified_split_divides_only_where_psi_2_divides_F_2():
+def test_unramified_split_divides_only_where_psi_2_divides_F_2(monkeypatch):
     # a seeded pair (random.Random(18)) where F mod 3 has the factor
     # x^2 + 1, whose value 5 at 2 divides F(2) although it does not divide
-    # F, and a factor whose value at 2 does not divide F(2): the division
-    # runs for the one and is skipped for the other
+    # F, and a factor whose value at 2 does not divide F(2): ore_analyze's
+    # division runs for the one and is skipped for the other
     a, b = 86732986491310923719, -38488230566677824825
     F = trinomial(a, b)
     factors = [psi for psi, _ in gf.factor(gf.PrimeField(3), gf.reduce_mod_p(F, 3)).factors]
     divided = [psi for psi in factors if zeval(F, 2) % zeval(psi, 2) == 0]
     assert (1, 0, 1) in divided and len(divided) < len(factors)
-    assert nu3(a, b).splitting == ore_analyze(F, 3).splitting
+    taken = []
+    leading_terms = polygon._leading_terms
+
+    def recorded(F, p, phi):
+        taken.append(phi)
+        return leading_terms(F, p, phi)
+
+    monkeypatch.setattr(polygon, "_leading_terms", recorded)
+    splitting = ore_analyze(F, 3).splitting
+    assert taken == divided
+    assert splitting == _naive_splitting(F, 3)
 
 
 def test_nu3_meets_the_factor_of_17_6():

@@ -249,6 +249,29 @@ def test_ore_split_inert_primes():
     assert inert == 61
 
 
+TRINOMIAL = st.builds(trinomial, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+# monic, degree 1-9, any middle terms
+MONIC = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=9).map(lambda c: (*c, 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(TRINOMIAL, MONIC), st.sampled_from((2, 3, 5, 7)))
+def test_a_simple_factor_has_one_side_of_length_1(F, p):
+    # the premise of ore_analyze's rule for a factor psi of F mod p of
+    # multiplicity 1: the naive lift's polygon is one side from (0, v0) to
+    # (1, 0), so psi is the one prime (1, deg psi) and adds 0 to the index
+    for psi, mult in gf.factor(gf.PrimeField(p), gf.reduce_mod_p(F, p)).factors:
+        if mult > 1 or psi == F:
+            continue
+        try:
+            an = analyze_phi(F, p, psi)
+        except ExactDivisorError:
+            continue
+        (side,) = an.polygon.sides
+        assert (side.x0, side.x1, side.y1, side.length) == (0, 1, 0, 1), (F, p, psi)
+        assert an.primes == ((1, gf.pdeg(psi)),) and an.index == 0 and an.regular
+
+
 def test_ore_analyze_lift_replaces_the_one_factor():
     # x^9 + 5x + 2 = x (x + 1)^8 mod 2: two factors, so no lift of either
     for lift in ((0, 1), (1, 1)):
