@@ -382,7 +382,7 @@ def _ladder(k: int, X: int, Z: int, n: int, a24: int) -> tuple:
 _ECM_SETUP_MULTS = 16  # Suyama's point and a24, besides one inversion
 
 
-@functools.cache
+@functools.lru_cache(maxsize=len(_ECM_SCHEDULE))
 def _ecm_plan(b1: int) -> tuple:
     """(E, k0, ends, baby, stage-1 mults, stage-2 mults) for the bounds B1
     = b1 and B2 = 100 b1; built on first use, one per B1.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 from . import gf
@@ -187,22 +188,30 @@ def _smallest_integer_root(a: int, b: int) -> int | None:
     return None
 
 
-def _has_root_mod(a: int, b: int, p: int) -> bool:
-    """Whether x^9 + ax + b has a root mod p, by p evaluations."""
-    a, b = a % p, b % p
+# Every fact the certificate reads at a prime p >= 5 is a function of (p,
+# a mod p, b mod p), since F mod p is x^9 + (a mod p)x + (b mod p): at most
+# p^2 answers per prime.  4,096 entries hold every key of p = 5 to 31
+# (3,345); 20,000 fresh pairs of 20-45 digits filled under 2,700.  An
+# entry takes about 100 bytes for the root test and 250 for the degrees.
+_MOD_P_CACHE = 4096
+
+
+@lru_cache(maxsize=_MOD_P_CACHE)
+def _has_root_mod(p: int, a: int, b: int) -> bool:
+    """Whether x^9 + ax + b has a root mod p, by p evaluations; a and b are
+    reduced mod p."""
     return any((x**9 + a * x + b) % p == 0 for x in range(p))
 
 
-def _factor_degrees(F: tuple, p: int, rootless: bool = False) -> list:
-    """The degrees of the irreducible factors of F mod p, which is squarefree;
-    rootless=True when F is known to have no root mod p (p >= 5)."""
-    field_p = gf.PrimeField(p)
-    fbar = gf.reduce_mod_p(F, p)
-    if p <= 3:
-        # nu2 / nu3 read the splitting off this same factorization
-        return [gf.pdeg(psi) for psi, _ in gf.factor(field_p, fbar).factors]
-    return [d for part, d in gf.distinct_degree(field_p, fbar, rootless=rootless)
-            for _ in range(gf.pdeg(part) // d)]
+@lru_cache(maxsize=_MOD_P_CACHE)
+def _factor_degrees(p: int, a: int, b: int) -> tuple:
+    """The degrees of the irreducible factors of x^9 + ax + b mod p, p >= 5,
+    by one distinct-degree pass; a and b are reduced mod p, and p does not
+    divide disc(a, b), so F mod p is squarefree.  A pass at a prime where
+    F has no root takes no gcd at degree 1, which would be 1."""
+    parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b),
+                               rootless=not _has_root_mod(p, a, b))
+    return tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
 
 
 def irreducibility_certificate(a: int, b: int) -> tuple:
@@ -223,9 +232,10 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     At p = 2 and 3 they are read from gf.factor: the certificate visits 2
     only when b is odd and 3 only when 3 does not divide a, which is when
     nu2 and nu3 read the unramified splitting off the same factor degrees,
-    so the one factorization serves both from gf.factor's cache.  At each other
-    p <= 100 they come from one distinct-degree pass, whose Frobenius
-    powers x^(p^d) mod F are products with one Frobenius matrix per prime.
+    so the one factorization serves both from gf.factor's cache, and the
+    certificate adds no cache of its own there.  At each other p <= 100
+    they come from one distinct-degree pass, whose Frobenius powers
+    x^(p^d) mod F are products with one Frobenius matrix per prime.
 
     Before that pass, a prime p >= 5 gets a root test, p evaluations of F
     mod p.  A prime where F has a root cannot prove F irreducible mod p,
@@ -239,10 +249,17 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     proof where the prime-by-prime loop would have ended it, so the prime
     each proof names and every detail stay those of that loop.  An F with
     an integer root has a root mod every p, so it runs no distinct-degree
-    pass at all, only the root search.  A pass at a prime that the root
-    test has shown rootless takes no gcd at degree 1, which would be 1.
+    pass at all, only the root search.
 
-    The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
+    At p >= 5 the root test and the factor degrees are each held in one
+    bounded cache keyed on (p, a mod p, b mod p), since F mod p depends on
+    nothing else: at most p^2 answers per prime, shared by every pair in
+    one residue class, so a caller with fresh pairs fills them too.  The
+    cached degrees are tuples, which no caller can change.
+
+    The root search runs only when F has a root mod every visited prime,
+    by its root test or a 1 in its pattern: an integer root is a root mod
+    every p.  The search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
     where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
     found by bisection, so the search costs O(log(|a| + |b|)) evaluations
@@ -258,19 +275,26 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed_degrees = None
-    pending = []  # primes with a root mod p, no pass run yet
+    pending = []  # (p, a mod p, b mod p) of the primes with a root mod p, no pass run yet
+    rootless = False  # some visited prime shows that F has no root mod p
     delta = disc(a, b)
     for p in _CERT_PRIMES:
         if delta % p == 0:
             continue  # F mod p is not squarefree: neither irreducible nor usable
-        root_tested = p >= 5 and (allowed_degrees is None or 1 in allowed_degrees)
-        if root_tested and _has_root_mod(a, b, p):
-            pending.append(p)
-            continue
-        degrees = _factor_degrees(F, p, rootless=root_tested)
-        if degrees == [9]:
+        if p <= 3:
+            # nu2 / nu3 read the splitting off this same factorization
+            fbar = gf.reduce_mod_p(F, p)
+            degrees = tuple(gf.pdeg(psi) for psi, _ in gf.factor(gf.PrimeField(p), fbar).factors)
+        else:
+            mod_p = (p, a % p, b % p)
+            if (allowed_degrees is None or 1 in allowed_degrees) and _has_root_mod(*mod_p):
+                pending.append(mod_p)
+                continue
+            degrees = _factor_degrees(*mod_p)
+        rootless = rootless or 1 not in degrees
+        if degrees == (9,):
             return Certificate.PROVEN, f"irreducible mod {p}"
-        for pattern in [degrees] + [_factor_degrees(F, q) for q in pending]:
+        for pattern in [degrees] + [_factor_degrees(*q) for q in pending]:
             sums = {0}
             for d in pattern:
                 sums |= {s + d for s in sums}
@@ -278,7 +302,7 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         pending = []
         if allowed_degrees == {0, 9}:
             return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
-    root = _smallest_integer_root(a, b)
+    root = None if rootless else _smallest_integer_root(a, b)
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
     if a == 0:

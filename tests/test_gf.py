@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +18,7 @@ from sympy.polys.galoistools import (
     gf_sub,
 )
 
-from nonicindex import gf
+from nonicindex import gf, nonic
 from nonicindex.gf import (
     ExtField,
     PrimeField,
@@ -38,6 +38,7 @@ from nonicindex.gf import (
 )
 from nonicindex.arith import INFINITY, val
 from nonicindex.nonic import (
+    _CERT_PRIMES,
     Certificate,
     _smallest_integer_root,
     disc,
@@ -484,6 +485,53 @@ def _pending_kinds(a, b, detail):
     return kinds
 
 
+def _clear_certificate_caches():
+    nonic._has_root_mod.cache_clear()
+    nonic._factor_degrees.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cached_mod_p_facts_match_a_fresh_computation(p):
+    # the certificate's root test and degree pattern at p >= 5 are cached
+    # on (p, a mod p, b mod p): the first round over every residue pair
+    # fills the caches, the second reads them, and every answer equals one
+    # computed afresh, by evaluation and by the reference pass
+    _clear_certificate_caches()
+    squarefree = [(a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
+    for _ in range(2):
+        for a, b in itertools.product(range(p), repeat=2):
+            assert nonic._has_root_mod(p, a, b) == any(
+                (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)
+        for a, b in squarefree:
+            assert nonic._factor_degrees(p, a, b) == tuple(_reference_degrees(a, b, p)), (p, a, b)
+    assert nonic._has_root_mod.cache_info().misses == p * p
+    assert nonic._factor_degrees.cache_info().misses == len(squarefree)
+
+
+def test_congruent_pairs_share_the_certificate_cache_entries():
+    # a pair moved by multiples of p^(nu_p + 1) for every p <= 100 keeps its
+    # valuations there, so it takes the same path through the certificate,
+    # and meets the same (p, a mod p, b mod p) keys: the second certificate
+    # adds no entry to either cache
+    def step(n):
+        return prod(p ** (val(p, n) + 1) for p in _CERT_PRIMES)
+
+    caches = (nonic._has_root_mod, nonic._factor_degrees)
+    rng = random.Random(27)
+    read = 0
+    for _ in range(100):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(1, 10**30) for _ in range(2))
+        _clear_certificate_caches()
+        irreducibility_certificate(a, b)
+        filled = [cache.cache_info() for cache in caches]
+        irreducibility_certificate(a + rng.randrange(1, 10**9) * step(a),
+                                   b - rng.randrange(1, 10**9) * step(b))
+        after = [cache.cache_info() for cache in caches]
+        assert [info.misses for info in after] == [info.misses for info in filled], (a, b)
+        read += sum(info.hits for info in after) > sum(info.hits for info in filled)
+    assert read >= 40, read  # the rest are settled before p = 5, with no cache read
+
+
 def test_certificate_matches_reference_on_seeded_pairs():
     # pairs of 1-45 digits; every fifth one gets an integer root r, and
     # (1, 1), (17, 6) are reducible with no integer root.  The last 300
@@ -508,7 +556,9 @@ def test_certificate_matches_reference_on_seeded_pairs():
     verdicts, kinds = set(), set()
     for a, b in pairs:
         expected = _reference_certificate(a, b)
-        assert irreducibility_certificate(a, b) == expected, (a, b)
+        assert irreducibility_certificate(a, b) == expected, (a, b)  # caches warm
+        _clear_certificate_caches()
+        assert irreducibility_certificate(a, b) == expected, (a, b)  # caches cold
         verdicts.add(expected[1].split(" = ")[0].split(" mod ")[0])
         kinds |= _pending_kinds(a, b, expected[1])
     assert verdicts == {

@@ -187,7 +187,15 @@ def test_unramified_splitting_matches_the_engine(a0, b0, scale):
         assert _splitting_or_error(nu3, a, b) == _naive_splitting(trinomial(a, b), 3)
 
 
-def test_certificate_proves_without_a_root_search(monkeypatch):
+@pytest.fixture
+def cold_certificate():
+    """The certificate's mod-p caches cleared, so that a test that watches
+    its passes or its root search sees the cold path in any test order."""
+    nonic._has_root_mod.cache_clear()
+    nonic._factor_degrees.cache_clear()
+
+
+def test_certificate_proves_without_a_root_search(monkeypatch, cold_certificate):
     # a proof rules out an integer root, so the search never runs once one
     # is found, whatever the size of the input (here up to about 5,000 digits)
     def no_search(a, b):
@@ -205,9 +213,10 @@ def test_certificate_proves_without_a_root_search(monkeypatch):
 
 
 @pytest.mark.parametrize("a, b", [(-76, 96), (-76, -96), (-34, 21), (-34, -21), (17, 6), (17, -6)])
-def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, a, b):
+def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, cold_certificate, a, b):
     # the six UNKNOWN pairs of [-100, 100]^2 (reducible, no integer root):
-    # no proof exists, so the search runs and finds no root
+    # no proof exists, but F has no root mod 13, so it has no integer root
+    # and the search does not run
     searched = []
     search = nonic._smallest_integer_root
 
@@ -217,29 +226,40 @@ def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, a, b):
 
     monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
     assert irreducibility_certificate(a, b) == (Certificate.UNKNOWN, "no cheap certificate found")
-    assert searched == [(a, b)]
+    assert searched == []
+    assert disc(a, b) % 13 and all((x**9 + a * x + b) % 13 for x in range(13))
 
 
-def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch):
+def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch, cold_certificate):
     # F with an integer root r has a root mod every p, so every usable
     # p >= 5 is set aside and no distinct-degree pass runs there; 2 and 3
-    # still read gf.factor, which nu2 and nu3 share
+    # still read gf.factor, which nu2 and nu3 share.  No visited prime
+    # shows F rootless, so the root search runs, once, and reports r
     pass_ = gf.distinct_degree
+    searched = []
+    search = nonic._smallest_integer_root
 
     def no_pass(field, f):
         if field.p >= 5:
             raise AssertionError("distinct-degree pass ran")
         return pass_(field, f)
 
+    def recorded(a, b):
+        searched.append((a, b))
+        return search(a, b)
+
     monkeypatch.setattr(gf, "distinct_degree", no_pass)
+    monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
     rng = random.Random(18)
     for digits in (3, 20, 45):
         for _ in range(30):
             a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
             r = rng.choice((-1, 1)) * rng.randrange(1, 100)
             b = -(r**9 + a * r)
+            searched.clear()
             assert irreducibility_certificate(a, b) == (
                 Certificate.REDUCIBLE, f"integer root x = {r}"), (a, b)
+            assert searched == [(a, b)], (a, b)
 
 
 def test_unramified_split_divides_only_where_psi_2_divides_F_2(monkeypatch):

@@ -1,12 +1,15 @@
 """Every helper in src has a caller: no def or class that nothing names.
+And every cache in src is bounded.
 
 The package's source is parsed with ast.  Each top-level def or class,
 and each method other than a dunder, must be named somewhere in src
 outside its own definition (a call, an attribute, a reference) or be
-exported through nonicindex.__all__.
+exported through nonicindex.__all__.  Each object in a src module, or in
+a class defined there, that has cache_info() has a finite maxsize.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -52,3 +55,26 @@ def test_every_definition_in_src_is_referenced():
             if node.name not in exported and everywhere[node.name] == _names(node)[node.name]:
                 unused.append(f"{filename}:{node.lineno} {qualname}")
     assert not unused, unused
+
+
+def _caches():
+    """(qualified name, object) of each object in a src module, or in a
+    class defined there, that has cache_info(): every lru_cache."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"nonicindex.{path.stem}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)):
+                yield f"{path.stem}.{name}", obj
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                for attr in vars(obj):
+                    method = getattr(obj, attr)
+                    if callable(getattr(method, "cache_info", None)):
+                        yield f"{path.stem}.{name}.{attr}", method
+
+
+def test_every_cache_in_src_is_bounded():
+    # an unbounded cache grows for the life of the process
+    caches = dict(_caches())
+    assert {"gf.factor", "arith._ecm_plan", "nonic._has_root_mod", "nonic._factor_degrees"} <= set(caches)
+    unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
+    assert not unbounded, unbounded
