@@ -321,13 +321,12 @@ def _squarefree_parts(F, f):
         stack.append(core)
 
 
-def distinct_degree(F, f, *, rootless: bool = False):
+def distinct_degree(F, f):
     """Split monic squarefree f over F_p into [(product of its degree-d
     factors, d)], on plain int lists.
 
     Step d takes gcd(x^(p^d) - x, rem), where rem is what the earlier steps
-    left of f; rootless=True states that f has no root in F_p, so that the
-    gcd of step 1 is known to be 1 and is not taken.
+    left of f.
 
     w -> w^p mod f is linear over F_p, so w^p is a combination of the rows
     x^(i p) mod f of Berlekamp's matrix (Bell Syst. Tech. J. 1967), built
@@ -371,8 +370,6 @@ def distinct_degree(F, f, *, rootless: bool = False):
                 if c:
                     acc = [a + c * r for a, r in zip(acc, row)]
             w = [c % p for c in acc]
-            if rootless and d == 1:
-                continue  # gcd(x^p - x, f) = 1: f has no root in F_p
             h = w[:]  # w - x
             h[1] = (h[1] - 1) % p
             while h and not h[-1]:

@@ -188,11 +188,11 @@ def _smallest_integer_root(a: int, b: int) -> int | None:
     return None
 
 
-# Every fact the certificate reads at a prime p >= 5 is a function of (p,
-# a mod p, b mod p), since F mod p is x^9 + (a mod p)x + (b mod p): at most
-# p^2 answers per prime.  4,096 entries hold every key of p = 5 to 31
-# (3,345); 20,000 fresh pairs of 20-45 digits filled under 2,700.  An
-# entry takes about 100 bytes for the root test and 250 for the degrees.
+# Every fact the certificate reads at a prime p is a function of (p, a mod
+# p, b mod p), since F mod p is x^9 + (a mod p)x + (b mod p): at most p^2
+# answers per prime.  4,096 entries hold every key of p = 2 to 31 (3,358);
+# 20,000 fresh pairs of 20-45 digits filled under 2,700.  An entry takes
+# about 100 bytes for the root test and 250 for the degrees.
 _MOD_P_CACHE = 4096
 
 
@@ -205,12 +205,10 @@ def _has_root_mod(p: int, a: int, b: int) -> bool:
 
 @lru_cache(maxsize=_MOD_P_CACHE)
 def _factor_degrees(p: int, a: int, b: int) -> tuple:
-    """The degrees of the irreducible factors of x^9 + ax + b mod p, p >= 5,
-    by one distinct-degree pass; a and b are reduced mod p, and p does not
-    divide disc(a, b), so F mod p is squarefree.  A pass at a prime where
-    F has no root takes no gcd at degree 1, which would be 1."""
-    parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b),
-                               rootless=not _has_root_mod(p, a, b))
+    """The degrees of the irreducible factors of x^9 + ax + b mod p, by one
+    distinct-degree pass; a and b are reduced mod p, and p does not divide
+    disc(a, b), so F mod p is squarefree."""
+    parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b))
     return tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
 
 
@@ -227,39 +225,26 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     proven F of any size pays for no root search.
 
     F is monic, so F mod p is squarefree exactly when p does not divide
-    disc(a, b), and then the degrees of its irreducible factors give both
-    verdicts: a single factor of degree 9 means F is irreducible mod p.
-    At p = 2 and 3 they are read from gf.factor: the certificate visits 2
-    only when b is odd and 3 only when 3 does not divide a, which is when
-    nu2 and nu3 read the unramified splitting off the same factor degrees,
-    so the one factorization serves both from gf.factor's cache, and the
-    certificate adds no cache of its own there.  At each other p <= 100
-    they come from one distinct-degree pass, whose Frobenius powers
-    x^(p^d) mod F are products with one Frobenius matrix per prime.
+    disc(a, b); such a p <= 100 is usable, and the degrees of the
+    irreducible factors of F mod p give both mod-p proofs: a single factor
+    of degree 9 means F is irreducible mod p.  The usable primes are
+    visited in order, each with one distinct-degree pass, whose Frobenius
+    powers x^(p^d) mod F are products with one Frobenius matrix per prime.
 
-    Before that pass, a prime p >= 5 gets a root test, p evaluations of F
-    mod p.  A prime where F has a root cannot prove F irreducible mod p,
-    and while every pattern so far has a linear factor (1 is allowed) it
-    cannot complete the degree-sum proof either: every pattern with a
-    linear factor allows the degrees 1 and 8.  Such a prime is set aside as
-    pending, with no pass.  At the next usable p >= 5 with no root, its own
-    pass runs first, which may prove F irreducible mod p; then the passes
-    of the pending primes, and every pattern is folded into the allowed
-    degrees before the degree-sum check.  A pending prime can end neither
-    proof where the prime-by-prime loop would have ended it, so the prime
-    each proof names and every detail stay those of that loop.  An F with
-    an integer root has a root mod every p, so it runs no distinct-degree
-    pass at all, only the root search.
+    A gate runs first: a root test, p evaluations of F mod p, at each
+    usable prime in turn, stopping at the first where F has no root.  If F
+    has a root mod every usable prime, every pattern has a linear factor
+    and allows the degrees 1 and 8, so neither proof can succeed: no pass
+    runs, and the root search does.  Otherwise F has no integer root, which
+    would be a root mod every p, and the search is skipped.
 
-    At p >= 5 the root test and the factor degrees are each held in one
-    bounded cache keyed on (p, a mod p, b mod p), since F mod p depends on
-    nothing else: at most p^2 answers per prime, shared by every pair in
-    one residue class, so a caller with fresh pairs fills them too.  The
+    The root test and the factor degrees are each held in one bounded
+    cache keyed on (p, a mod p, b mod p), since F mod p depends on nothing
+    else: at most p^2 answers per prime, shared by every pair in one
+    residue class, so a caller with fresh pairs fills them too.  The
     cached degrees are tuples, which no caller can change.
 
-    The root search runs only when F has a root mod every visited prime,
-    by its root test or a 1 in its pattern: an integer root is a root mod
-    every p.  The search is complete: a root r has |r|^8 <= |a| + |b|, and on
+    The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
     where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
     found by bisection, so the search costs O(log(|a| + |b|)) evaluations
@@ -267,41 +252,30 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
-    F = trinomial(a, b)
     # one-sided polygon of totally ramified shape at a small prime
     for p in (q for q in _CERT_PRIMES if b % q == 0):
         vb = val(p, b)
         va = val(p, a)
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
-    allowed_degrees = None
-    pending = []  # (p, a mod p, b mod p) of the primes with a root mod p, no pass run yet
-    rootless = False  # some visited prime shows that F has no root mod p
     delta = disc(a, b)
-    for p in _CERT_PRIMES:
-        if delta % p == 0:
-            continue  # F mod p is not squarefree: neither irreducible nor usable
-        if p <= 3:
-            # nu2 / nu3 read the splitting off this same factorization
-            fbar = gf.reduce_mod_p(F, p)
-            degrees = tuple(gf.pdeg(psi) for psi, _ in gf.factor(gf.PrimeField(p), fbar).factors)
-        else:
-            mod_p = (p, a % p, b % p)
-            if (allowed_degrees is None or 1 in allowed_degrees) and _has_root_mod(*mod_p):
-                pending.append(mod_p)
-                continue
+
+    def usable():  # (p, a mod p, b mod p), lazily: the gate often stops at the first
+        return ((p, a % p, b % p) for p in _CERT_PRIMES if delta % p)
+
+    rootless = not all(_has_root_mod(*mod_p) for mod_p in usable())
+    if rootless:
+        allowed_degrees = None
+        for mod_p in usable():
             degrees = _factor_degrees(*mod_p)
-        rootless = rootless or 1 not in degrees
-        if degrees == (9,):
-            return Certificate.PROVEN, f"irreducible mod {p}"
-        for pattern in [degrees] + [_factor_degrees(*q) for q in pending]:
+            if degrees == (9,):
+                return Certificate.PROVEN, f"irreducible mod {mod_p[0]}"
             sums = {0}
-            for d in pattern:
+            for d in degrees:
                 sums |= {s + d for s in sums}
             allowed_degrees = sums if allowed_degrees is None else (allowed_degrees & sums)
-        pending = []
-        if allowed_degrees == {0, 9}:
-            return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
+            if allowed_degrees == {0, 9}:
+                return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
     root = None if rootless else _smallest_integer_root(a, b)
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
@@ -348,14 +322,14 @@ def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
     gcd_factored is bounded_factor of gcd(a, b), or of a multiple of it
     such as the gcd before normalization: its found primes that divide
     gcd(a, b) are tested, and what they leave of gcd(a, b) is unfactored.
+    A failure found at those primes, mod 4 or mod 9 decides; only when
+    none is found does an unfactored part raise IndeterminateFactorization.
     """
     g = gcd(a, b)
     primes = [p for p in gcd_factored[0] if g % p == 0]
     for p in primes:
         while g % p == 0:
             g //= p
-    if g > 1:
-        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {_show(g)}")
     for p in primes:
         if val(p, b) != 1:
             return f"p={_show(p)} divides a and b with nu_p(b) != 1"
@@ -365,6 +339,8 @@ def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
     if a % 3 == 0 and b % 3:
         if (a % 9, b % 9) not in _MOD9_MAXIMAL:
             return f"(a,b) = ({a % 9},{b % 9}) mod 9"
+    if g > 1:
+        raise IndeterminateFactorization(f"gcd(a,b) has an unfactored part {_show(g)}")
     return None
 
 

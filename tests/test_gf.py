@@ -389,38 +389,9 @@ def test_distinct_degree_matches_reference(case):
     assert distinct_degree(PrimeField(p), f) == _reference_distinct_degree(p, f)
 
 
-def _rootless_squarefree_monic(p):
-    return _squarefree_monic(p).filter(
-        lambda case: all(sum(c * x**i for i, c in enumerate(case[1])) % p for x in range(p)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from((5, 7)).flatmap(_rootless_squarefree_monic))
-def test_distinct_degree_rootless_skips_only_the_degree_1_gcd(case):
-    # f squarefree with no root mod p: rootless=True gives the same split,
-    # with one gcd fewer
-    p, f = case
-    calls = []
-    pgcd_ints = gf._pgcd_ints
-
-    def counted(*args):
-        calls.append(args)
-        return pgcd_ints(*args)
-
-    gf._pgcd_ints = counted
-    try:
-        plain = distinct_degree(PrimeField(p), f)
-        n_plain = len(calls)
-        rootless = distinct_degree(PrimeField(p), f, rootless=True)
-    finally:
-        gf._pgcd_ints = pgcd_ints
-    assert rootless == plain == _reference_distinct_degree(p, f)
-    assert len(calls) - n_plain == n_plain - 1, (p, f)  # no gcd at d = 1
-
-
 def _reference_certificate(a, b):
-    """irreducibility_certificate as it was built before p = 2 and 3 were
-    read from gf.factor: one reference distinct-degree pass per prime."""
+    """irreducibility_certificate as a plain loop: the root search first,
+    then one reference distinct-degree pass per usable prime."""
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
     root = _smallest_integer_root(a, b)
@@ -453,36 +424,22 @@ def _reference_degrees(a, b, p):
     return [d for part, d in _reference_distinct_degree(p, fbar) for _ in range(pdeg(part) // d)]
 
 
-def _pending_kinds(a, b, detail):
-    """How the certificate's loop meets the primes it sets aside on (a, b),
-    given the reference detail.  It sets aside the usable p >= 5 with a
-    root mod p met while every pattern so far has a linear factor.
-    "reducible" when a later usable p >= 5 with no root is reducible mod
-    p, so the set-aside passes run; "degree-sum" when the degree-sum proof
-    completes after a prime was set aside.  Walked with the reference
-    passes, in the order of the reference loop."""
-    if detail.startswith(("x divides", "integer root", "one-sided")):
-        return set()
-    kinds, allowed, pending = set(), None, False
+def _degree_sum_folds_a_linear_factor(a, b):
+    """Whether the reference loop's degree-sum proof on (a, b) folds a
+    pattern with a linear factor, walked with the reference passes."""
+    allowed, linear = None, False
     for p in PRIMES_TO_97:
         if disc(a, b) % p == 0:
             continue
         degrees = _reference_degrees(a, b, p)
-        if degrees == [9]:
-            break
-        if p >= 5 and 1 in degrees and (allowed is None or 1 in allowed):
-            pending = True
-        elif p >= 5 and pending:
-            kinds.add("reducible")
+        linear = linear or 1 in degrees
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
         allowed = sums if allowed is None else allowed & sums
         if allowed == {0, 9}:
-            if pending:
-                kinds.add("degree-sum")
-            break
-    return kinds
+            return linear
+    raise AssertionError(f"no degree-sum proof for {(a, b)}")
 
 
 def _clear_certificate_caches():
@@ -535,8 +492,9 @@ def test_congruent_pairs_share_the_certificate_cache_entries():
 def test_certificate_matches_reference_on_seeded_pairs():
     # pairs of 1-45 digits; every fifth one gets an integer root r, and
     # (1, 1), (17, 6) are reducible with no integer root.  The last 300
-    # are reducible mod 7 with no root mod 7, so that a prime >= 5 with a
-    # root, set aside before 7, has its pass run at 7.
+    # are reducible mod 7 with no root mod 7, so that the root-test gate
+    # opens at 7 at the latest, and the primes before it that have a root
+    # still have their patterns folded into the degree-sum proof.
     rng = random.Random(2024)
     pairs = [(1, 1), (17, 6)]
     for i in range(2000):
@@ -553,16 +511,17 @@ def test_certificate_matches_reference_on_seeded_pairs():
                 for _ in range(2))
         r, s = rng.choice(rootless_reducible)
         pairs.append((a - a % 7 + r, b - b % 7 + s))
-    verdicts, kinds = set(), set()
+    verdicts, folds_linear = set(), 0
     for a, b in pairs:
         expected = _reference_certificate(a, b)
         assert irreducibility_certificate(a, b) == expected, (a, b)  # caches warm
         _clear_certificate_caches()
         assert irreducibility_certificate(a, b) == expected, (a, b)  # caches cold
         verdicts.add(expected[1].split(" = ")[0].split(" mod ")[0])
-        kinds |= _pending_kinds(a, b, expected[1])
+        if expected[1].startswith("mod-p factor degrees"):
+            folds_linear += _degree_sum_folds_a_linear_factor(a, b)
     assert verdicts == {
         "x divides x^9 + ax", "integer root x", "one-sided polygon at p",
         "irreducible", "mod-p factor degrees only allow trivial splits",
         "no cheap certificate found"}, verdicts
-    assert kinds == {"reducible", "degree-sum"}, kinds
+    assert folds_linear > 0

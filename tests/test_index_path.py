@@ -121,15 +121,16 @@ def test_irreducible_mod_p_verdict_matches_sympy(a, b):
 
 @pytest.mark.parametrize("a, b", [(805694, -684135), (-264088, 120095), (506678, 229717)])
 def test_certificate_shares_factorizations_with_nu2_nu3(a, b):
-    # b odd, 3 does not divide a, and disc(a, b) is prime to 6: the
-    # certificate reads its degree patterns at 2 and 3 from gf.factor, and
-    # nu2 and nu3 factor those same reductions, so they add no cache miss.
+    # b odd, 3 does not divide a, and disc(a, b) is prime to 6: nu2 and nu3
+    # factor F mod 2 and mod 3, and the certificate reads its patterns
+    # there from its own cache, so it adds no gf.factor miss, and nu2 and
+    # nu3 after it add exactly the misses they add alone.
     gf.factor.cache_clear()
     nu2(a, b), nu3(a, b)
     alone = gf.factor.cache_info().misses
     gf.factor.cache_clear()
     assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN
-    assert gf.factor.cache_info().misses == 2
+    assert gf.factor.cache_info().misses == 0
     nu2(a, b), nu3(a, b)
     assert gf.factor.cache_info().misses == alone
 
@@ -213,7 +214,7 @@ def test_certificate_proves_without_a_root_search(monkeypatch, cold_certificate)
 
 
 @pytest.mark.parametrize("a, b", [(-76, 96), (-76, -96), (-34, 21), (-34, -21), (17, 6), (17, -6)])
-def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, cold_certificate, a, b):
+def test_certificate_unknown_pairs_skip_the_root_search(monkeypatch, cold_certificate, a, b):
     # the six UNKNOWN pairs of [-100, 100]^2 (reducible, no integer root):
     # no proof exists, but F has no root mod 13, so it has no integer root
     # and the search does not run
@@ -231,24 +232,21 @@ def test_certificate_unknown_pairs_run_the_root_search(monkeypatch, cold_certifi
 
 
 def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch, cold_certificate):
-    # F with an integer root r has a root mod every p, so every usable
-    # p >= 5 is set aside and no distinct-degree pass runs there; 2 and 3
-    # still read gf.factor, which nu2 and nu3 share.  No visited prime
-    # shows F rootless, so the root search runs, once, and reports r
-    pass_ = gf.distinct_degree
+    # F with an integer root r has a root mod every p, so the root-test gate
+    # never opens: no distinct-degree pass and no gf.factor call at any p,
+    # 2 and 3 included.  The root search runs, once, and reports r
     searched = []
     search = nonic._smallest_integer_root
 
-    def no_pass(field, f):
-        if field.p >= 5:
-            raise AssertionError("distinct-degree pass ran")
-        return pass_(field, f)
+    def no_call(*args):
+        raise AssertionError("mod-p factorization ran")
 
     def recorded(a, b):
         searched.append((a, b))
         return search(a, b)
 
-    monkeypatch.setattr(gf, "distinct_degree", no_pass)
+    monkeypatch.setattr(gf, "distinct_degree", no_call)
+    monkeypatch.setattr(gf, "factor", no_call)
     monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
     rng = random.Random(18)
     for digits in (3, 20, 45):

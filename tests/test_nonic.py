@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_found_square_decides_beside_an_unfactored_part():
     report = classify(a, b)
     assert (report.monogenic_order, report.monogenic_order_detail) == (False, detail)
     assert any(w.startswith("disc has an unfactored part") for w in report.warnings)
+
+
+def test_found_gcd_prime_decides_beside_an_unfactored_part():
+    # N, the product of the 70 primes past TRIAL_LIMIT, has 314 digits and
+    # is left unfactored at once; 5 divides a and b with nu_5(b) = 2, which
+    # proves Z[alpha] non-maximal whatever N holds
+    primes = (n for n in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime(n))
+    N = prod(next(primes) for _ in range(70))
+    a, b = 50 * N, 25 * N
+    factors, leftover = bounded_factor(gcd(a, b))
+    assert (factors, leftover) == ({5: 2}, N) and N > 10**300
+    detail = "p=5 divides a and b with nu_p(b) != 1"
+    assert is_order_maximal(a, b) == (False, detail)
+    report = classify(a, b)
+    assert (report.monogenic_order, report.monogenic_order_detail) == (False, detail)
 
 
 def test_square_failure_strips_large_primes_shared_with_ab():
