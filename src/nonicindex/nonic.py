@@ -5,8 +5,11 @@ gives the exact valuation nu_p(i(K)) where it is determined, and the
 splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
 ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
 3 not dividing a), Dedekind's theorem settles p: it is unramified, and
-pZ_K splits like F mod p, one prime (1, deg psi) per factor psi, which is
-ore_analyze's rule for a simple factor.  The other first-order-resolvable
+pZ_K splits like F mod p, one prime (1, d) per factor of degree d.  Those
+degrees are the irreducibility certificate's cached _factor_degrees at
+the same key (p, a mod p, b mod p), so the certificate and nu2/nu3 share
+one factorization, and the certificate, not the classifier, meets a
+naive lift that divides F.  The other first-order-resolvable
 branches run through the polygons of the same engine; the branches that
 genuinely require higher-order data are encoded as congruence tables
 keyed on (a, b) residues plus nu_p(Delta) and Delta_p mod 8 or mod 3.
@@ -205,9 +208,10 @@ def _has_root_mod(p: int, a: int, b: int) -> bool:
 
 @lru_cache(maxsize=_MOD_P_CACHE)
 def _factor_degrees(p: int, a: int, b: int) -> tuple:
-    """The degrees of the irreducible factors of x^9 + ax + b mod p, by one
-    distinct-degree pass; a and b are reduced mod p, and p does not divide
-    disc(a, b), so F mod p is squarefree."""
+    """The degrees of the irreducible factors of x^9 + ax + b mod p, in
+    ascending order, by one distinct-degree pass; a and b are reduced mod
+    p, and p does not divide disc(a, b), so F mod p is squarefree.  The
+    certificate's patterns, and nu2's and nu3's splittings at 2 and 3."""
     parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b))
     return tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
 
@@ -219,6 +223,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     reduction mod p <= 100, or mod-p factor-degree patterns whose subset
     sums only allow the trivial factor degrees.  Reducible: an integer
     root, the smallest one being reported, or a = 0 with b a cube.
+    Reducible too: a naive lift of a factor of F mod p that divides F over
+    Z, for p in {2, 3} not dividing disc(a, b), the one test run last.
     Unknown otherwise.  The proofs are tried first, and the root search and
     the cube test run only when none succeeds: a proof rules out an integer
     root and a cubic factor alike, so the order changes no verdict, and a
@@ -242,13 +248,20 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     cache keyed on (p, a mod p, b mod p), since F mod p depends on nothing
     else: at most p^2 answers per prime, shared by every pair in one
     residue class, so a caller with fresh pairs fills them too.  The
-    cached degrees are tuples, which no caller can change.
+    cached degrees are tuples, which no caller can change; nu2 and nu3
+    read their entries at 2 and 3.
 
     The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
     that range F = x^9 + ax + b has at most three monotone pieces, split
     where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
     found by bisection, so the search costs O(log(|a| + |b|)) evaluations
     of F.
+
+    The last step, before Unknown, is ore_analyze's exact-divisor test at
+    2 and 3 when they do not divide disc(a, b): it divides F by the naive
+    lift of each factor of F mod p of degree below 9 that may divide it.
+    There nu2 and nu3 read the splitting off _factor_degrees with no
+    engine call, so the certificate is what meets such a lift.
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
@@ -285,6 +298,12 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if c**3 == abs(b):
             sign = "+" if b > 0 else "-"
             return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
+    for p in (2, 3):
+        if delta % p:
+            try:
+                ore_analyze(trinomial(a, b), p)
+            except ExactDivisorError as exc:
+                return Certificate.REDUCIBLE, str(exc)
     return Certificate.UNKNOWN, "no cheap certificate found"
 
 
@@ -502,14 +521,14 @@ def nu2(a: int, b: int) -> PrimeEntry:
     """nu_2(i(K)), splitting of 2Z_K and the matched rule.
 
     Input must be normalized and irreducible.  For b odd, 2 does not divide
-    disc(a, b), F mod 2 is squarefree, and ore_analyze reads the splitting
-    off its factor degrees with no polygon.
+    disc(a, b), F mod 2 is squarefree, and 2 splits by Dedekind's theorem,
+    one prime (1, d) per factor degree d of F mod 2, read from the
+    certificate's cached _factor_degrees with no engine call.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
-    F = trinomial(a, b)
     if b % 2:
-        return _entry(2, ore_analyze(F, 2).splitting, "2:unit-b")
+        return _entry(2, _S((1, d) for d in _factor_degrees(2, a % 2, 1)), "2:unit-b")
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
@@ -561,17 +580,18 @@ def nu3(a: int, b: int) -> PrimeEntry:
     """nu_3(i(K)), splitting of 3Z_K and the matched rule.
 
     Input must be normalized and irreducible.  For 3 not dividing a, 3 does
-    not divide disc(a, b), F mod 3 is squarefree, and ore_analyze reads the
-    splitting off its factor degrees with no polygon.  Where
-    F = (x - s)^9 mod 3 and the lift x - s stays irregular, the "deep" shape
-    is a lookup on nu_3(disc) and Delta_3 mod 3 with no engine call;
-    engine_split's critical lift is what checks it.
+    not divide disc(a, b), F mod 3 is squarefree, and 3 splits by
+    Dedekind's theorem, one prime (1, d) per factor degree d of F mod 3,
+    read from the certificate's cached _factor_degrees with no engine
+    call.  Where F = (x - s)^9 mod 3 and the lift x - s stays irregular,
+    the "deep" shape is a lookup on nu_3(disc) and Delta_3 mod 3 with no
+    engine call; engine_split's critical lift is what checks it.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
-    F = trinomial(a, b)
     if a % 3:
-        return _entry(3, ore_analyze(F, 3).splitting, "3:unit-a")
+        return _entry(3, _S((1, d) for d in _factor_degrees(3, a % 3, b % 3)), "3:unit-a")
+    F = trinomial(a, b)
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
         if va >= 8 and vb >= 9:
@@ -689,9 +709,9 @@ def classify(a: int, b: int) -> ClassifierReport:
 
     Normalizes the input, certifies irreducibility (an Unknown certificate
     is reported, not fatal; a Reducible one, or a factor of F that the
-    polygon engine meets, raises ReduciblePolynomial), computes nu_2 and
-    nu_3, records nu_p = 0 for the primes p >= 5 dividing the
-    discriminant, and assembles i(K) = 2^nu2 * 3^nu3 when both are exact.
+    polygon engine meets at a prime p >= 5, raises ReduciblePolynomial),
+    computes nu_2 and nu_3, records nu_p = 0 for the primes p >= 5
+    dividing the discriminant, and assembles i(K) = 2^nu2 * 3^nu3 when both are exact.
     Each integer is factored once: the discriminant's part prime to 6, and
     gcd(a, b), whose factors serve both normalization and the maximality
     test.
@@ -709,10 +729,7 @@ def classify(a: int, b: int) -> ClassifierReport:
         raise ReduciblePolynomial(cert_detail)
     if cert is Certificate.UNKNOWN:
         warnings.append("irreducibility not certified; report assumes it")
-    try:
-        entries = {2: nu2(a, b), 3: nu3(a, b)}
-    except ExactDivisorError as exc:
-        raise ReduciblePolynomial(str(exc)) from None
+    entries = {2: nu2(a, b), 3: nu3(a, b)}
     for e in entries.values():
         warnings.extend(e.warnings)
     factored = bounded_factor(_disc_prime_to_6(a, b))

@@ -199,9 +199,11 @@ def sweep_agreement(
     divisibility verdict must equal the Engstrom test on that splitting,
     and the classifier's claimed splitting (when it states one) must match
     it.  On p = 2 cells with b odd (and p = 3 cells with 3 not dividing a)
-    both sides take ore_analyze's Dedekind rule for simple factors, so
-    there the check compares a computation with itself; tier-1 compares
-    that rule with the polygons of the naive lifts.  NotRegular lifts are
+    the engine factors F mod p with gf.factor and takes ore_analyze's
+    Dedekind rule for simple factors, while the classifier builds the same
+    rule from the certificate's distinct-degree pattern, so the two sides
+    share only Dedekind's theorem; tier-1 also compares it with the
+    polygons of the naive lifts.  NotRegular lifts are
     counted as skipped.  For p in {5, 7} the check is the residue-degree
     bound: no f ever has more primes than monic irreducibles, so
     nu_p = 0.

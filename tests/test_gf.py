@@ -389,9 +389,21 @@ def test_distinct_degree_matches_reference(case):
     assert distinct_degree(PrimeField(p), f) == _reference_distinct_degree(p, f)
 
 
+def _divides_over_z(F, g):
+    """Whether monic g divides F in Z[x], by plain long division."""
+    rem = list(F)
+    for i in range(len(F) - len(g), -1, -1):
+        q = rem[i + len(g) - 1]
+        for j, c in enumerate(g):
+            rem[i + j] -= q * c
+    return not any(rem)
+
+
 def _reference_certificate(a, b):
     """irreducibility_certificate as a plain loop: the root search first,
-    then one reference distinct-degree pass per usable prime."""
+    then one reference distinct-degree pass per usable prime, and last, at
+    2 and 3 when usable, a division of F by each naive lift of a factor of
+    F mod p (sympy's, coefficients in [0, p)) of degree below 9."""
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
     root = _smallest_integer_root(a, b)
@@ -416,6 +428,13 @@ def _reference_certificate(a, b):
         allowed = sums if allowed is None else allowed & sums
         if allowed == {0, 9}:
             return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
+    F = trinomial(a, b)
+    for p in (2, 3):
+        if disc(a, b) % p == 0:
+            continue
+        for g, _ in gf_factor(_to_sympy(reduce_mod_p(F, p)), p, ZZ)[1]:
+            if len(g) - 1 < 9 and _divides_over_z(F, _from_sympy(g, p)):
+                return Certificate.REDUCIBLE, "phi divides F exactly; F is reducible"
     return Certificate.UNKNOWN, "no cheap certificate found"
 
 
@@ -447,12 +466,13 @@ def _clear_certificate_caches():
     nonic._factor_degrees.cache_clear()
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_cached_mod_p_facts_match_a_fresh_computation(p):
-    # the certificate's root test and degree pattern at p >= 5 are cached
-    # on (p, a mod p, b mod p): the first round over every residue pair
-    # fills the caches, the second reads them, and every answer equals one
-    # computed afresh, by evaluation and by the reference pass
+    # the certificate's root test and degree pattern are cached on
+    # (p, a mod p, b mod p), and at 2 and 3 nu2 and nu3 read the same
+    # degrees: the first round over every residue pair fills the caches,
+    # the second reads them, and every answer equals one computed afresh,
+    # by evaluation, by the reference pass and by gf.factor's degrees
     _clear_certificate_caches()
     squarefree = [(a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
     for _ in range(2):
@@ -460,7 +480,10 @@ def test_cached_mod_p_facts_match_a_fresh_computation(p):
             assert nonic._has_root_mod(p, a, b) == any(
                 (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)
         for a, b in squarefree:
-            assert nonic._factor_degrees(p, a, b) == tuple(_reference_degrees(a, b, p)), (p, a, b)
+            degrees = nonic._factor_degrees(p, a, b)
+            assert degrees == tuple(_reference_degrees(a, b, p)), (p, a, b)
+            factored = factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors
+            assert degrees == tuple(sorted(pdeg(psi) for psi, _ in factored)), (p, a, b)
     assert nonic._has_root_mod.cache_info().misses == p * p
     assert nonic._factor_degrees.cache_info().misses == len(squarefree)
 
@@ -490,13 +513,15 @@ def test_congruent_pairs_share_the_certificate_cache_entries():
 
 
 def test_certificate_matches_reference_on_seeded_pairs():
-    # pairs of 1-45 digits; every fifth one gets an integer root r, and
-    # (1, 1), (17, 6) are reducible with no integer root.  The last 300
+    # pairs of 1-45 digits; every fifth one gets an integer root r.  (1, 1)
+    # is irreducible mod 2; (17, 6) and (17, -6) are reducible with no
+    # integer root, and a naive lift of a factor of F mod 3 divides the
+    # first but not the second, which stays unknown.  The last 300
     # are reducible mod 7 with no root mod 7, so that the root-test gate
     # opens at 7 at the latest, and the primes before it that have a root
     # still have their patterns folded into the degree-sum proof.
     rng = random.Random(2024)
-    pairs = [(1, 1), (17, 6)]
+    pairs = [(1, 1), (17, 6), (17, -6)]
     for i in range(2000):
         a, b = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randrange(1, 46))
                 for _ in range(2))
@@ -523,5 +548,5 @@ def test_certificate_matches_reference_on_seeded_pairs():
     assert verdicts == {
         "x divides x^9 + ax", "integer root x", "one-sided polygon at p",
         "irreducible", "mod-p factor degrees only allow trivial splits",
-        "no cheap certificate found"}, verdicts
+        "phi divides F exactly; F is reducible", "no cheap certificate found"}, verdicts
     assert folds_linear > 0

@@ -20,6 +20,7 @@ from nonicindex.nonic import (
     _CERT_PRIMES,
     Certificate,
     IndeterminateFactorization,
+    ReduciblePolynomial,
     _iroot,
     classify,
     disc,
@@ -120,26 +121,23 @@ def test_irreducible_mod_p_verdict_matches_sympy(a, b):
 
 
 @pytest.mark.parametrize("a, b", [(805694, -684135), (-264088, 120095), (506678, 229717)])
-def test_certificate_shares_factorizations_with_nu2_nu3(a, b):
-    # b odd, 3 does not divide a, and disc(a, b) is prime to 6: nu2 and nu3
-    # factor F mod 2 and mod 3, and the certificate reads its patterns
-    # there from its own cache, so it adds no gf.factor miss, and nu2 and
-    # nu3 after it add exactly the misses they add alone.
-    gf.factor.cache_clear()
-    nu2(a, b), nu3(a, b)
-    alone = gf.factor.cache_info().misses
-    gf.factor.cache_clear()
+def test_certificate_shares_factorizations_with_nu2_nu3(monkeypatch, cold_certificate, a, b):
+    # b odd, 3 does not divide a, and disc(a, b) is prime to 6: on its way
+    # to a proof the certificate reads the factor degrees of F mod 2 and
+    # mod 3, and nu2 and nu3 build their Dedekind splittings from those
+    # two cache entries, adding no miss; neither reaches the engine
+    def no_call(*args, **kwargs):
+        raise AssertionError("gf.factor or ore_analyze ran")
+
+    monkeypatch.setattr(gf, "factor", no_call)
+    monkeypatch.setattr(polygon, "ore_analyze", no_call)
+    monkeypatch.setattr(nonic, "ore_analyze", no_call)
     assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN
-    assert gf.factor.cache_info().misses == 0
-    nu2(a, b), nu3(a, b)
-    assert gf.factor.cache_info().misses == alone
-
-
-def _splitting_or_error(split, *args):
-    try:
-        return split(*args).splitting
-    except ExactDivisorError:
-        return ExactDivisorError
+    filled = nonic._factor_degrees.cache_info()
+    entries = nu2(a, b), nu3(a, b)
+    after = nonic._factor_degrees.cache_info()
+    assert [e.rule for e in entries] == ["2:unit-b", "3:unit-a"]
+    assert (after.misses, after.hits) == (filled.misses, filled.hits + 2)
 
 
 def _naive_splitting(F, p):
@@ -168,24 +166,37 @@ DIGITS_1_60 = st.integers(1, 60).flatmap(lambda d: st.integers(-(10**d) + 1, 10*
 @settings(max_examples=300, deadline=None)
 @given(DIGITS_1_60, DIGITS_1_60, st.sampled_from((1, 1, 1, 2, 3, 5, 7)))
 @example(17, 6, 1)  # reducible: a naive lift of a factor of F mod 3 divides F
+@example(1, 2, 1)  # reducible: x + 1 divides F, and the root -1 is found first
 @example(17, -6, 1)
 @example(-34, 21, 1)
 @example(-34, -21, 1)
 @example(-76, 96, 1)
 @example(-76, -96, 1)
-@example(1, 1, 1)  # reducible: x^2 + x + 1 divides F, and F mod 2 has that factor
+@example(1, 1, 1)  # irreducible (sympy's factor_list), proven irreducible mod 2
 def test_unramified_splitting_matches_the_engine(a0, b0, scale):
     # b odd or 3 not dividing a: p in {2, 3} does not divide disc(a, b), and
-    # nu2 or nu3 takes ore_analyze's rule for simple factors, which reads
-    # the splitting off the degrees of F mod p.  The polygons of the naive
-    # lifts must give the same splitting, or raise the same error.
+    # nu2 or nu3 reads the splitting off the certificate's factor degrees
+    # of F mod p.  The polygons of the naive lifts must give the same
+    # splitting.  Where a naive lift divides F instead, F is reducible, and
+    # the certificate says so: by that lift, or by an integer root when F
+    # has one, since the root search runs first.
     a, b = a0 * scale**8, b0 * scale**9
-    if b % 2:
-        assert disc(a, b) % 2
-        assert _splitting_or_error(nu2, a, b) == _naive_splitting(trinomial(a, b), 2)
-    if a % 3 and b:
-        assert disc(a, b) % 3
-        assert _splitting_or_error(nu3, a, b) == _naive_splitting(trinomial(a, b), 3)
+    F = trinomial(a, b)
+    for p, nu, unramified in ((2, nu2, b % 2), (3, nu3, a % 3 and b)):
+        if not unramified:
+            continue
+        assert disc(a, b) % p
+        naive = _naive_splitting(F, p)
+        if naive is not ExactDivisorError:
+            assert nu(a, b).splitting == naive
+            continue
+        cert, detail = irreducibility_certificate(a, b)
+        assert cert is Certificate.REDUCIBLE, (a, b)
+        if detail.startswith("integer root x = "):
+            r = int(detail.removeprefix("integer root x = "))
+            assert zeval(F, r) == 0
+        else:
+            assert detail == "phi divides F exactly; F is reducible", (a, b)
 
 
 @pytest.fixture
@@ -215,9 +226,10 @@ def test_certificate_proves_without_a_root_search(monkeypatch, cold_certificate)
 
 @pytest.mark.parametrize("a, b", [(-76, 96), (-76, -96), (-34, 21), (-34, -21), (17, 6), (17, -6)])
 def test_certificate_unknown_pairs_skip_the_root_search(monkeypatch, cold_certificate, a, b):
-    # the six UNKNOWN pairs of [-100, 100]^2 (reducible, no integer root):
-    # no proof exists, but F has no root mod 13, so it has no integer root
-    # and the search does not run
+    # the six pairs of [-100, 100]^2 that are reducible with no integer
+    # root: no proof exists, but F has no root mod 13, so it has no integer
+    # root and the search does not run.  Five stay UNKNOWN; for (17, 6) a
+    # naive lift of a factor of F mod 3 divides F, which the last step finds
     searched = []
     search = nonic._smallest_integer_root
 
@@ -226,7 +238,11 @@ def test_certificate_unknown_pairs_skip_the_root_search(monkeypatch, cold_certif
         return search(a, b)
 
     monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
-    assert irreducibility_certificate(a, b) == (Certificate.UNKNOWN, "no cheap certificate found")
+    if (a, b) == (17, 6):
+        expected = Certificate.REDUCIBLE, "phi divides F exactly; F is reducible"
+    else:
+        expected = Certificate.UNKNOWN, "no cheap certificate found"
+    assert irreducibility_certificate(a, b) == expected
     assert searched == []
     assert disc(a, b) % 13 and all((x**9 + a * x + b) % 13 for x in range(13))
 
@@ -284,11 +300,15 @@ def test_unramified_split_divides_only_where_psi_2_divides_F_2(monkeypatch):
 
 
 def test_nu3_meets_the_factor_of_17_6():
-    # F = x^9 + 17x + 6 is reducible with no integer root; its certificate
-    # is UNKNOWN, and nu3 finds a naive lift that divides F over Z
-    assert irreducibility_certificate(17, 6)[0] is Certificate.UNKNOWN
+    # F = x^9 + 17x + 6 is reducible with no integer root: the naive lift
+    # x^2 + x + 2 of a factor of F mod 3 divides F over Z.  The certificate
+    # finds it by ore_analyze at 3, and classify reports its detail
+    detail = "phi divides F exactly; F is reducible"
+    assert irreducibility_certificate(17, 6) == (Certificate.REDUCIBLE, detail)
     with pytest.raises(ExactDivisorError):
-        nu3(17, 6)
+        ore_analyze(trinomial(17, 6), 3)
+    with pytest.raises(ReduciblePolynomial, match=f"^{detail}$"):
+        classify(17, 6)
 
 
 @settings(max_examples=200, deadline=None)
