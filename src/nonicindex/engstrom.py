@@ -10,6 +10,7 @@ that divides gets the honest lower bound AtLeast(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf import count_monic_irreducible
 from .polygon import Splitting
@@ -67,9 +68,13 @@ def divides_index(split: Splitting, p: int) -> bool:
     return False
 
 
+# A splitting of degree 9 is one of 145 types, and the classifier reaches
+# the lookup at p = 2 and 3 only: 290 keys
+@lru_cache(maxsize=512)
 def nu_lookup(split: Splitting, p: int) -> IndexValuation:
     """Exact(0) when p does not divide; a known exact value when the
-    (p, type) pair is in the table; otherwise AtLeast(1)."""
+    (p, type) pair is in the table; otherwise AtLeast(1).  Cached on
+    (split, p): both are immutable, and so is the answer."""
     if not divides_index(split, p):
         return IndexValuation.exact(0)
     exact = EXACT_NU.get((p, split.primes))

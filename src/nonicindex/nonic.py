@@ -9,7 +9,10 @@ pZ_K splits like F mod p, one prime (1, d) per factor of degree d.  Those
 degrees are the irreducibility certificate's cached _factor_degrees at
 the same key (p, a mod p, b mod p), so the certificate and nu2/nu3 share
 one factorization, and the certificate, not the classifier, meets a
-naive lift that divides F.  The other first-order-resolvable
+naive lift that divides F.  The certificate reads residues only: a and b
+are reduced once mod the product of the primes up to 97, and every fact
+it uses comes from those two residues, so it never builds the
+discriminant.  The other first-order-resolvable
 branches run through the polygons of the same engine; the branches that
 genuinely require higher-order data are encoded as congruence tables
 keyed on (a, b) residues plus nu_p(Delta) and Delta_p mod 8 or mod 3.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from . import gf
 from .arith import (
@@ -165,6 +168,9 @@ class Certificate(enum.Enum):
 
 
 _CERT_PRIMES = primes_upto(100)
+# every residue the certificate reads is one of (a, b) mod this product of
+# 25 primes, a number of 121 bits
+_CERT_PRODUCT = prod(_CERT_PRIMES)
 
 
 def _smallest_integer_root(a: int, b: int) -> int | None:
@@ -216,6 +222,31 @@ def _factor_degrees(p: int, a: int, b: int) -> tuple:
     return tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
 
 
+def _usable(a: int, b: int):
+    """(p, a mod p, b mod p) for each p in _CERT_PRIMES, in order, that does
+    not divide disc(a, b), lazily: disc(a, b) mod p is 2^24 a_p^9 + 3^18
+    b_p^8 mod p, read from the residues a_p and b_p with no discriminant."""
+    for p in _CERT_PRIMES:
+        ap, bp = a % p, b % p
+        if (2**24 * ap**9 + 3**18 * bp**8) % p:
+            yield p, ap, bp
+
+
+# One entry per partition of 9, the degree patterns of a squarefree F mod p
+_PARTITIONS_OF_9 = 30
+
+
+@lru_cache(maxsize=_PARTITIONS_OF_9)
+def _subset_sums(degrees: tuple) -> int:
+    """The degrees of the possible factors of F over Z that a factor-degree
+    pattern of F mod p allows, its subset sums, as a bitmask: bit s is set
+    when some of the degrees sum to s."""
+    sums = 1
+    for d in degrees:
+        sums |= sums << d
+    return sums
+
+
 def irreducibility_certificate(a: int, b: int) -> tuple:
     """(Certificate, detail) for x^9 + ax + b, by cheap deterministic means.
 
@@ -236,6 +267,15 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     of degree 9 means F is irreducible mod p.  The usable primes are
     visited in order, each with one distinct-degree pass, whose Frobenius
     powers x^(p^d) mod F are products with one Frobenius matrix per prime.
+    The degree-sum proof folds one cached bitmask of subset sums per
+    pattern, and ends when only the bits 0 and 9 are left.
+
+    Every fact read at a prime p <= 100 is a function of a mod p and b mod
+    p, so a and b are reduced once mod _CERT_PRODUCT, the product of those
+    primes, and every residue comes from those two numbers below 2^121:
+    the polygon's test of p | b, the usable test, 2^24 a_p^9 + 3^18 b_p^8
+    mod p, the cache keys, and the last step's test at 2 and 3.  The
+    discriminant, whose digits are nine times the input's, is never built.
 
     A gate runs first: a root test, p evaluations of F mod p, at each
     usable prime in turn, stopping at the first where F has no root.  If F
@@ -265,29 +305,22 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
+    ar, br = a % _CERT_PRODUCT, b % _CERT_PRODUCT
     # one-sided polygon of totally ramified shape at a small prime
-    for p in (q for q in _CERT_PRIMES if b % q == 0):
+    for p in (q for q in _CERT_PRIMES if br % q == 0):
         vb = val(p, b)
         va = val(p, a)
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
-    delta = disc(a, b)
-
-    def usable():  # (p, a mod p, b mod p), lazily: the gate often stops at the first
-        return ((p, a % p, b % p) for p in _CERT_PRIMES if delta % p)
-
-    rootless = not all(_has_root_mod(*mod_p) for mod_p in usable())
+    rootless = not all(_has_root_mod(*mod_p) for mod_p in _usable(ar, br))
     if rootless:
-        allowed_degrees = None
-        for mod_p in usable():
+        allowed = (1 << 10) - 1  # the degrees 0 to 9
+        for mod_p in _usable(ar, br):
             degrees = _factor_degrees(*mod_p)
             if degrees == (9,):
                 return Certificate.PROVEN, f"irreducible mod {mod_p[0]}"
-            sums = {0}
-            for d in degrees:
-                sums |= {s + d for s in sums}
-            allowed_degrees = sums if allowed_degrees is None else (allowed_degrees & sums)
-            if allowed_degrees == {0, 9}:
+            allowed &= _subset_sums(degrees)
+            if allowed == 1 | 1 << 9:
                 return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
     root = None if rootless else _smallest_integer_root(a, b)
     if root is not None:
@@ -298,12 +331,13 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if c**3 == abs(b):
             sign = "+" if b > 0 else "-"
             return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
-    for p in (2, 3):
-        if delta % p:
-            try:
-                ore_analyze(trinomial(a, b), p)
-            except ExactDivisorError as exc:
-                return Certificate.REDUCIBLE, str(exc)
+    for p, _, _ in _usable(ar, br):
+        if p > 3:
+            break
+        try:
+            ore_analyze(trinomial(a, b), p)
+        except ExactDivisorError as exc:
+            return Certificate.REDUCIBLE, str(exc)
     return Certificate.UNKNOWN, "no cheap certificate found"
 
 
@@ -401,6 +435,16 @@ _S = Splitting.of
 def _entry(p: int, split: Splitting, rule: str, *warnings: str) -> PrimeEntry:
     """The entry whose exact valuation the Engstrom lookup reads off split."""
     return PrimeEntry(p, nu_lookup(split, p), split, rule, warnings)
+
+
+@lru_cache(maxsize=2 * _PARTITIONS_OF_9)
+def _dedekind_entry(p: int, degrees: tuple, rule: str) -> PrimeEntry:
+    """The entry of an unramified p, one prime (1, d) per factor degree d of
+    F mod p.  nu2 and nu3 ask for it at p = 2 and 3, one rule each, so the
+    cache holds one entry per (p, pattern), shared by every caller, which
+    the frozen PrimeEntry keeps safe."""
+    return _entry(p, _S((1, d) for d in degrees), rule)
+
 
 # splitting shorthands shared by several rules
 _TOTALLY_RAMIFIED = _S([(9, 1)])
@@ -528,7 +572,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     if b % 2:
-        return _entry(2, _S((1, d) for d in _factor_degrees(2, a % 2, 1)), "2:unit-b")
+        return _dedekind_entry(2, _factor_degrees(2, a % 2, 1), "2:unit-b")
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
@@ -565,10 +609,11 @@ def nu2(a: int, b: int) -> PrimeEntry:
                       "class (15,0) mod 16: the source table's splitting row is "
                       "unreachable for this class; splitting taken from the polygon")
     # w0 >= 4 and w1 >= 4, i.e. (a,b) = (7,8) mod 16: two-step shift territory
-    v = val(2, disc(a, b))
-    if v % 2:
+    d = disc(a, b)
+    v = val(2, d)
+    if v % 2:  # d = 0 ends here too: INFINITY % 2 is nan, which is true
         return _entry(2, _SHAPE_EXACT3, "2:lin:(7,8)m16:vodd")
-    u8 = delta_unit(a, b, 2) % 8
+    u8 = unit_part(2, d) % 8
     if v == 28:
         shape = {1: _SHAPE_FIVE, 5: _SHAPE_QUAD, 3: _SHAPE_EXACT3, 7: _SHAPE_EXACT3}[u8]
     else:
@@ -590,7 +635,7 @@ def nu3(a: int, b: int) -> PrimeEntry:
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     if a % 3:
-        return _entry(3, _S((1, d) for d in _factor_degrees(3, a % 3, b % 3)), "3:unit-a")
+        return _dedekind_entry(3, _factor_degrees(3, a % 3, b % 3), "3:unit-a")
     F = trinomial(a, b)
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:
@@ -632,9 +677,10 @@ def nu3(a: int, b: int) -> PrimeEntry:
                       f"{tag}:w0={_fmt_w(w0)}:w1={_fmt_w(w1)}:res")
     except NotRegularError:
         pass
-    if val(3, disc(a, b)) % 2:
+    d = disc(a, b)
+    if val(3, d) % 2:  # d = 0 too, as in nu2
         shape, sub = _S([(1, 1), (2, 1), (6, 1)]), "vodd"
-    elif delta_unit(a, b, 3) % 3 == 1:
+    elif unit_part(3, d) % 3 == 1:
         shape, sub = _S([(1, 1), (1, 2), (6, 1)]), "veven:D3=1"
     else:
         shape, sub = _S([(1, 1), (1, 1), (1, 1), (6, 1)]), "veven:D3=-1"

@@ -1,3 +1,6 @@
+import gzip
+import json
+import os
 import random
 
 from nonicindex.engstrom import EXACT_NU, IndexValuation, divides_index, nu_lookup
@@ -101,3 +104,26 @@ def test_at_least_rows_stay_lower_bounds():
     nu = nu_lookup(Splitting.of([(1, 1), (1, 1), (1, 1), (2, 1), (4, 1)]), 2)
     assert nu.kind == "at_least" and nu.value == 1
     assert str(nu) == str(IndexValuation.at_least(1)) == ">=1"
+
+
+def test_cached_lookup_matches_the_uncached_function_on_the_golden_corpus():
+    # nu_lookup is cached on (splitting, p): on every splitting of the
+    # pinned classify corpus, cold and warm, it equals the function under
+    # the cache, and at 2 and 3 it gives the corpus's recorded valuation
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "classify_golden.jsonl.gz")
+    keys = set()
+    with gzip.open(golden, "rt") as lines:
+        for line in lines:
+            for entry in json.loads(line).get("primes", {}).values():
+                if entry["splitting"] is not None:
+                    split = Splitting.of(tuple(ef) for ef in entry["splitting"])
+                    nu = IndexValuation(entry["nu"]["kind"], entry["nu"]["value"])
+                    keys.add((split, entry["p"], nu if entry["p"] < 5 else None))
+    assert len(keys) == 34
+    nu_lookup.cache_clear()
+    for _ in range(2):
+        for split, p, recorded in keys:
+            assert nu_lookup(split, p) == nu_lookup.__wrapped__(split, p), (split, p)
+            assert recorded in (None, nu_lookup(split, p)), (split, p)
+    assert nu_lookup.cache_info().maxsize is not None

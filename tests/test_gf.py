@@ -39,12 +39,13 @@ from nonicindex.gf import (
 from nonicindex.arith import INFINITY, val
 from nonicindex.nonic import (
     _CERT_PRIMES,
+    _CERT_PRODUCT,
     Certificate,
     _smallest_integer_root,
     disc,
     irreducibility_certificate,
 )
-from nonicindex.polygon import trinomial
+from nonicindex.polygon import Splitting, trinomial
 from reference import expand
 
 F2 = PrimeField(2)
@@ -461,6 +462,67 @@ def _degree_sum_folds_a_linear_factor(a, b):
     raise AssertionError(f"no degree-sum proof for {(a, b)}")
 
 
+# integers of 1-5,000 digits, either sign
+DIGITS_1_5000 = st.integers(1, 5000).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DIGITS_1_5000, DIGITS_1_5000)
+@example(-9, 8)  # disc(a, b) = 0: no prime is usable
+@example(0, 1)
+@example(1, 0)
+@example(_CERT_PRODUCT, -_CERT_PRODUCT)
+@example(2**24 * 3**18, 1)
+def test_usable_primes_from_residues_match_the_discriminant(a, b):
+    # the certificate reads (a, b) mod _CERT_PRODUCT only: the usable primes
+    # it takes from those residues are the primes <= 100 that do not divide
+    # disc(a, b), each keyed on (p, a mod p, b mod p)
+    assert _CERT_PRODUCT == prod(_CERT_PRIMES)
+    keys = list(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT))
+    assert [p for p, _, _ in keys] == [p for p in _CERT_PRIMES if disc(a, b) % p], (a, b)
+    assert keys == [(p, a % p, b % p) for p, _, _ in keys]
+
+
+def _partitions(n, largest=None):
+    """Every partition of n, each as a tuple in ascending order."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - d, d):
+            yield rest + (d,)
+
+
+def test_subset_sum_masks_match_the_set_fold():
+    # the degree-sum proof folds one cached bitmask per pattern; each of
+    # the 30 partitions of 9, every pattern F mod p can have, gives the
+    # mask of the set its subset sums fold to, and the cache holds them all
+    patterns = list(_partitions(9))
+    assert len(patterns) == 30 == nonic._subset_sums.cache_info().maxsize
+    nonic._subset_sums.cache_clear()
+    for _ in range(2):
+        for degrees in patterns:
+            sums = {0}
+            for d in degrees:
+                sums |= {s + d for s in sums}
+            assert nonic._subset_sums(degrees) == sum(1 << s for s in sums), degrees
+    assert nonic._subset_sums.cache_info()[:2] == (30, 30)  # hits, misses
+
+
+@pytest.mark.parametrize("p, rule", [(2, "2:unit-b"), (3, "3:unit-a")])
+def test_cached_dedekind_entry_matches_a_fresh_entry(p, rule):
+    # the unit branches build their entry once per (p, degrees, rule): for
+    # every pattern F mod p can have, the cached entry equals one built
+    # afresh by _entry, and a second read returns the same frozen object
+    patterns = list(_partitions(9))
+    for degrees in patterns:
+        fresh = nonic._entry(p, Splitting.of((1, d) for d in degrees), rule)
+        cached = nonic._dedekind_entry(p, degrees, rule)
+        assert cached == fresh, degrees
+        assert nonic._dedekind_entry(p, degrees, rule) is cached
+    assert nonic._dedekind_entry.cache_info().maxsize >= 2 * len(patterns)
+
+
 def _clear_certificate_caches():
     nonic._has_root_mod.cache_clear()
     nonic._factor_degrees.cache_clear()
@@ -536,6 +598,16 @@ def test_certificate_matches_reference_on_seeded_pairs():
                 for _ in range(2))
         r, s = rng.choice(rootless_reducible)
         pairs.append((a - a % 7 + r, b - b % 7 + s))
+    # past the float range: 20 pairs of 310-2,000 digits and four of 5,000,
+    # every fourth one with an integer root
+    wide = random.Random(30)
+    for i, digits in enumerate([wide.randrange(310, 2001) for _ in range(20)] + [5000] * 4):
+        a, b = (wide.choice((-1, 1)) * wide.randrange(10 ** (digits - 1), 10**digits)
+                for _ in range(2))
+        if i % 4 == 0:
+            r = wide.randrange(-99, 100)
+            b = -(r**9 + a * r)
+        pairs.append((a, b))
     verdicts, folds_linear = set(), 0
     for a, b in pairs:
         expected = _reference_certificate(a, b)

@@ -140,6 +140,27 @@ def test_certificate_shares_factorizations_with_nu2_nu3(monkeypatch, cold_certif
     assert (after.misses, after.hits) == (filled.misses, filled.hits + 2)
 
 
+def test_certificate_and_unit_branches_build_no_discriminant(monkeypatch, cold_certificate):
+    # the certificate reads (a, b) mod the product of the primes <= 100, and
+    # nu2 (b odd) and nu3 (3 not dividing a) read its cached degrees at 2
+    # and 3: none of them builds disc(a, b), at any input size
+    def no_call(a, b):
+        raise AssertionError("disc ran")
+
+    monkeypatch.setattr(nonic, "disc", no_call)
+    residues = [(r, s) for r in range(7) for s in range(7) if _irreducible_mod(r, s, 7)]
+    rng = random.Random(30)
+    for digits in (20, 45, 400, 5000):
+        for r, s in residues:
+            while True:
+                a, b = rng.randrange(10**digits), -rng.randrange(10**digits)
+                a, b = a - a % 7 + r, b - b % 7 + s  # F mod 7 is irreducible
+                if b % 2 and a % 3 and gcd(a, b) == 1:
+                    break
+            assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN, (digits, r, s)
+            assert (nu2(a, b).rule, nu3(a, b).rule) == ("2:unit-b", "3:unit-a"), (a, b)
+
+
 def _naive_splitting(F, p):
     """The splitting from analyze_phi on the naive lift of each factor of
     F mod p, or ExactDivisorError: the polygons, not ore_analyze's rule for
