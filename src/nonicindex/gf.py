@@ -13,12 +13,12 @@ is one pass on int lists: it takes each next Frobenius power as one
 product with a matrix built once per polynomial, whose rows are, while
 p < deg f, shifts by p reduced with f's nonzero coefficients, and takes
 each step's gcd with the same Euclid.  Everything is deterministic:
-factor() returns a linear input as it is, and otherwise uses
-squarefree splitting, then distinct-degree splitting, then equal-degree
-splitting by exhaustive search over the p^d monic candidates of the
-factor degree d; it divides out multiplicities only when the input is not
-squarefree.  is_irreducible is the same squarefree test followed by one
-distinct-degree pass.
+factor() returns a linear input as it is, and otherwise takes the
+squarefree decomposition, pairs (g, m) from one derivative loop, then
+splits each g by distinct degree, then by equal degree with an exhaustive
+search over the p^d monic candidates of the factor degree d; every
+factor of g has multiplicity m.  radical is the product of the g, and
+is_irreducible asks for the one pair (f, 1), then one distinct-degree pass.
 """
 
 from __future__ import annotations
@@ -288,10 +288,7 @@ def is_irreducible(F, f) -> bool:
     if n <= 0:
         return False
     _, f = pmonic(F, f)
-    df = pderiv(F, f)
-    if not df or pdeg(pgcd(F, f, df)) > 0:
-        return False
-    return distinct_degree(F, f) == [(f, n)]
+    return _squarefree_parts(F, f) == [(f, 1)] and distinct_degree(F, f) == [(f, n)]
 
 
 def _pth_root_poly(F, f) -> tuple:
@@ -300,25 +297,37 @@ def _pth_root_poly(F, f) -> tuple:
     return ztrim(f[::F.p])
 
 
-def _squarefree_parts(F, f):
-    """Squarefree divisors of monic f that together hold each of its
-    irreducible factors.
+def _squarefree_parts(F, f) -> list:
+    """The squarefree decomposition of monic f over F_p: pairs (g, m) of
+    pairwise coprime squarefree g of positive degree with f = prod g^m.
 
-    Each step divides g by gcd(g, g') and goes on with that gcd; a g with
-    zero derivative is a p-th power and goes on as its p-th root.
+    The derivative loop (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 14.6): c = gcd(f, f') holds each factor to one less than its
+    multiplicity, or to all of it when p divides that, and w = f / c is the
+    product of the others.  Step i splits off the factors of multiplicity i
+    as w / gcd(w, c) and divides c by that gcd; once c = 1, what is left of
+    w has multiplicity i.  A remainder c is a p-th power and goes on as its
+    p-th root, with every multiplicity multiplied by p.
     """
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if pdeg(g) <= 0:
-            continue
-        dg = pderiv(F, g)
-        if not dg:
-            stack.append(_pth_root_poly(F, g))
-            continue
-        core = pgcd(F, g, dg)
-        yield pdivmod(F, g, core)[0]
-        stack.append(core)
+    parts = []
+    scale = 1
+    while pdeg(f) > 0:
+        c = pgcd(F, f, pderiv(F, f))
+        w = pdivmod(F, f, c)[0]
+        i = 1
+        while pdeg(w) > 0:
+            if pdeg(c) == 0:
+                parts.append((w, i * scale))
+                break
+            y = pgcd(F, w, c)
+            if pdeg(y) < pdeg(w):
+                parts.append((pdivmod(F, w, y)[0], i * scale))
+            c = pdivmod(F, c, y)[0]
+            w = y
+            i += 1
+        f = _pth_root_poly(F, c)
+        scale *= F.p
+    return parts
 
 
 def distinct_degree(F, f):
@@ -424,6 +433,9 @@ def factor(F, f) -> Factorization:
     has multiplicity 1, its polygon is one side of length 1, and its
     residual polynomial over F_q is linear.
 
+    Over F_p each factor of a part (g, m) of the squarefree decomposition
+    has multiplicity m, so no factor is divided out again.
+
     Cached: fields and coefficient tuples are immutable and hashable, and
     the sweeps ask for the same small reductions over and over.
     """
@@ -435,33 +447,15 @@ def factor(F, f) -> Factorization:
     unit, monic = pmonic(F, f)
     if len(monic) == 2:
         return Factorization(unit, ((monic, 1),))
-    # collect the set of irreducible factors, then read off multiplicities
-    irreducibles = set()
-    parts = list(_squarefree_parts(F, monic))
-    for squarefree in parts:
-        for part, d in distinct_degree(F, squarefree):
-            irreducibles.update(_equal_degree_exhaustive(F, part, d))
-    irreducibles = sorted(irreducibles, key=lambda c: (len(c), c))
-    if parts == [monic]:  # monic is squarefree: every multiplicity is 1
-        return Factorization(unit, tuple((psi, 1) for psi in irreducibles))
-    found = []
-    rem = monic
-    for psi in irreducibles:
-        mult = 0
-        while True:
-            quo, r = pdivmod(F, rem, psi)
-            if r:
-                break
-            rem = quo
-            mult += 1
-        found.append((psi, mult))
-    if pdeg(rem) != 0:
-        raise AssertionError("factorization incomplete")  # pragma: no cover
-    return Factorization(unit=unit, factors=tuple(found))
+    found = [(psi, m) for g, m in _squarefree_parts(F, monic)
+             for part, d in distinct_degree(F, g)
+             for psi in _equal_degree_exhaustive(F, part, d)]
+    return Factorization(unit, tuple(sorted(found, key=lambda fm: (len(fm[0]), fm[0]))))
 
 
 def radical(F, f) -> tuple:
-    """Monic product of the distinct irreducible factors of f.
+    """Monic product of the distinct irreducible factors of f: the product
+    of its squarefree parts.
 
     Needs no factorization (gcd arithmetic only), so it works over F_p for
     any p, including primes far outside the factoring envelope.
@@ -470,8 +464,8 @@ def radical(F, f) -> tuple:
     if not f:
         raise ValueError("zero polynomial has no radical")
     rad = (F.one,)
-    for squarefree in _squarefree_parts(F, pmonic(F, f)[1]):
-        rad = pmul(F, rad, pdivmod(F, squarefree, pgcd(F, rad, squarefree))[0])
+    for g, _ in _squarefree_parts(F, pmonic(F, f)[1]):
+        rad = pmul(F, rad, g)
     return rad
 
 

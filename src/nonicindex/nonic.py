@@ -384,7 +384,7 @@ def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
         while g % p == 0:
             g //= p
     for p in primes:
-        if val(p, b) != 1:
+        if b % (p * p) == 0:  # p divides b, so this is nu_p(b) != 1
             return f"p={_show(p)} divides a and b with nu_p(b) != 1"
     if a % 2 and b % 2 == 0:
         if (a % 4, b % 4) not in _MOD4_MAXIMAL:
@@ -398,12 +398,16 @@ def _local_failure(a: int, b: int, gcd_factored: tuple) -> str | None:
 
 
 def _square_failure(a: int, b: int, factored: tuple) -> str | None:
-    """The smallest prime p coprime to 6ab with p^2 | disc, as a failing
-    condition.  factored: bounded_factor of the disc's part prime to 6.
+    """The smallest found prime p coprime to 6ab with p^2 | disc, as a
+    failing condition.  factored: bounded_factor of the disc's part prime
+    to 6.
 
-    A part left unfactored decides nothing, unless such a p up to
-    TRIAL_LIMIT was found: every prime of that part is larger, and trial
-    division found p's full exponent.
+    Any such p proves Z[alpha] non-maximal.  A part left unfactored decides
+    nothing without one.  Beside a p up to TRIAL_LIMIT it hides nothing
+    smaller: every prime of that part is larger, and trial division found
+    p's full exponent.  Beside a larger p the detail says that a smaller
+    such prime may divide that part, and it gives nu_p(disc) only when p
+    does not divide the part.
     """
     dfac, leftover = factored
     ab = abs(a * b)
@@ -411,9 +415,15 @@ def _square_failure(a: int, b: int, factored: tuple) -> str | None:
         while (shared := gcd(leftover, ab)) > 1:
             leftover //= shared
     p = next((p for p in sorted(dfac) if dfac[p] >= 2 and (ab == 0 or ab % p)), None)
-    if leftover != 1 and (p is None or p > TRIAL_LIMIT):
+    if p is None and leftover != 1:
         raise IndeterminateFactorization(f"disc has an unfactored part {_show(leftover)}")
-    return None if p is None else f"nu_{_show(p)}(disc) = {dfac[p]} > 1 with p coprime to 6ab"
+    if p is None:
+        return None
+    detail = (f"nu_{_show(p)}(disc) = {dfac[p]} > 1" if leftover % p
+              else f"p^2 divides disc for p={_show(p)}") + " with p coprime to 6ab"
+    if leftover != 1 and p > TRIAL_LIMIT:
+        detail += f"; a smaller such prime may divide the unfactored part {_show(leftover)}"
+    return detail
 
 
 # ---------------------------------------------------------------------------

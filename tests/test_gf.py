@@ -10,10 +10,12 @@ from sympy.polys.galoistools import (
     gf_div,
     gf_factor,
     gf_gcd,
+    gf_irreducible_p,
     gf_mul,
     gf_pow_mod,
     gf_quo,
     gf_rem,
+    gf_sqf_list,
     gf_sqf_p,
     gf_sub,
 )
@@ -309,31 +311,75 @@ def _factor_case(p):
     squarefree = st.lists(st.integers(0, p - 1), min_size=1, max_size=9).map(
         lambda c: tuple(c) + (1,)).filter(lambda f: gf_sqf_p(_to_sympy(f), p, ZZ))
     return st.tuples(st.just(p), st.integers(1, p - 1), squarefree, monic, monic,
-                     st.sampled_from(("squarefree", "square", "p-th power")))
+                     st.sampled_from(("squarefree", "square", "p-th power", "p+1 and square")))
+
+
+def _power(field, g, k):
+    f = (1,)
+    for _ in range(k):
+        f = pmul(field, f, g)
+    return f
+
+
+def _sorted_factors(factors, p):
+    return tuple(sorted(((_from_sympy(g, p), k) for g, k in factors),
+                        key=lambda gk: (len(gk[0]), gk[0])))
+
+
+def _check_squarefree_parts(field, f):
+    """_squarefree_parts of monic f against its definition and sympy's
+    gf_sqf_list."""
+    p = field.p
+    parts = gf._squarefree_parts(field, f)
+    assert all(pdeg(g) > 0 and gf_sqf_p(_to_sympy(g), p, ZZ) for g, _ in parts)
+    assert all(pgcd(field, g, h) == (1,) for (g, _), (h, _) in itertools.combinations(parts, 2))
+    product = (1,)
+    for g, m in parts:
+        product = pmul(field, product, _power(field, g, m))
+    assert product == f
+    assert sorted(parts) == sorted(_sorted_factors(gf_sqf_list(_to_sympy(f), p, ZZ)[1], p))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7)).flatmap(_factor_case))
 def test_factor_matches_sympy_with_and_without_repeated_factors(case):
-    # a squarefree input takes factor()'s shortcut past the multiplicity
-    # loop; g^2 h and g^p (g' != 0, so g^p is a p-th power but g is not) take the loop
+    # every shape goes through the one squarefree decomposition: a squarefree
+    # input is one part of multiplicity 1; g^2 h, g^p (g' != 0, so g^p is a
+    # p-th power but g is not) and g^(p+1) h^2 (a multiplicity prime to p
+    # beside a p-th power) give parts of higher multiplicity
     p, unit, sqf, g, h, shape = case
     field = PrimeField(p)
     if shape == "squarefree":
         f = sqf
     elif shape == "square":
         f = pmul(field, pmul(field, g, g), h)
-    else:
+    elif shape == "p-th power":
         assume(gf.pderiv(field, g))
-        f = g
-        for _ in range(p - 1):
-            f = pmul(field, f, g)
+        f = _power(field, g, p)
+    else:
+        f = pmul(field, _power(field, g, p + 1), _power(field, h, 2))
+    _check_squarefree_parts(field, f)
     f = tuple(c * unit % p for c in f)
     lead, factors = gf_factor(_to_sympy(f), p, ZZ)
     fact = factor(field, f)
     assert fact.unit == int(lead) % p
-    assert fact.factors == tuple(sorted(
-        ((_from_sympy(psi, p), k) for psi, k in factors), key=lambda fk: (len(fk[0]), fk[0])))
+    assert fact.factors == _sorted_factors(factors, p)
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 5)])
+def test_factor_radical_and_irreducibility_match_sympy_on_every_small_monic(p, top):
+    # every monic polynomial of degree 0-8 over F_2 and 0-5 over F_3
+    field = PrimeField(p)
+    for n in range(top + 1):
+        for f in enumerate_monic(field, n):
+            g = _to_sympy(f)
+            _check_squarefree_parts(field, f)
+            assert factor(field, f).factors == _sorted_factors(gf_factor(g, p, ZZ)[1], p), f
+            rad = (1,)
+            for psi, _ in gf_sqf_list(g, p, ZZ)[1]:
+                rad = pmul(field, rad, _from_sympy(psi, p))
+            assert radical(field, f) == rad, f
+            assert is_irreducible(field, f) == (n > 0 and gf_irreducible_p(g, p, ZZ)), f
 
 
 # ---------------------------------------------------------------------------

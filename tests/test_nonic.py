@@ -11,6 +11,7 @@ from nonicindex.nonic import (
     IndeterminateFactorization,
     ReduciblePolynomial,
     _disc_prime_to_6,
+    _local_failure,
     _show,
     _square_failure,
     classify,
@@ -156,6 +157,67 @@ def test_square_failure_strips_large_primes_shared_with_ab():
     assert _square_failure(a, b, ({}, q**3)) is None
     with pytest.raises(IndeterminateFactorization, match="unfactored part 121"):
         _square_failure(a, b, ({}, q**3 * 11**2))
+
+
+def test_square_failure_up_to_the_trial_limit_ignores_the_unfactored_part():
+    # trial division found 7's full exponent, and every prime of the
+    # unfactored part is larger than TRIAL_LIMIT
+    q = next(n for n in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime(n))
+    detail = "nu_7(disc) = 2 > 1 with p coprime to 6ab"
+    assert _square_failure(1, 1, ({7: 2}, 1)) == detail
+    assert _square_failure(1, 1, ({5: 1, 7: 2}, q * (q + 2))) == detail
+    with pytest.raises(IndeterminateFactorization, match=f"unfactored part {q * (q + 2)}"):
+        _square_failure(1, 1, ({5: 1, 7: 1}, q * (q + 2)))
+    assert _square_failure(1, 1, ({5: 1, 7: 1}, 1)) is None
+
+
+def test_square_failure_past_the_trial_limit_decides_beside_an_unfactored_part():
+    # a found p > TRIAL_LIMIT with p^2 | disc proves non-maximality, but a
+    # smaller such prime may hide in the unfactored part; nu_p(disc) is
+    # stated only when p does not divide that part
+    primes = (n for n in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime(n))
+    p, q, r = next(primes), next(primes), next(primes)
+    rest = f"; a smaller such prime may divide the unfactored part {q * r}"
+    assert _square_failure(1, 1, ({5: 1, p: 2}, 1)) == f"nu_{p}(disc) = 2 > 1 with p coprime to 6ab"
+    assert _square_failure(1, 1, ({5: 1, p: 2}, q * r)) == (
+        f"nu_{p}(disc) = 2 > 1 with p coprime to 6ab" + rest)
+    assert _square_failure(1, 1, ({q: 2}, q * r)) == (
+        f"p^2 divides disc for p={q} with p coprime to 6ab; a smaller such prime may divide "
+        f"the unfactored part {q * r}")
+    # a p dividing a or b is no failure, whatever its exponent
+    with pytest.raises(IndeterminateFactorization, match=f"unfactored part {q * r}"):
+        _square_failure(p, 1, ({p: 2}, q * r))
+
+
+def test_found_square_past_the_trial_limit_decides_maximality(monkeypatch):
+    # p = 30011 = 2 mod 3, so x^9 has a 9th root mod p^2, and this pair
+    # puts p^2 into the discriminant; with a small budget the rest of the
+    # discriminant stays unfactored
+    monkeypatch.setattr(arith, "_FACTOR_BUDGET", 1 << 14)
+    a = 518670451810706375079860301677
+    b = 375731988578622229129725023305
+    factors, leftover = bounded_factor(_disc_prime_to_6(a, b))
+    assert factors[30011] == 2 and leftover != 1 and leftover % 30011 and (a * b) % 30011
+    assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN
+    detail = ("nu_30011(disc) = 2 > 1 with p coprime to 6ab; a smaller such prime may divide "
+              f"the unfactored part {_show(leftover)}")
+    assert is_order_maximal(a, b) == (False, detail)
+    report = classify(a, b)
+    assert (report.monogenic_order, report.monogenic_order_detail) == (False, detail)
+    assert not any(w.startswith("maximality undecided") for w in report.warnings)
+
+
+def test_local_failure_proves_no_prime_of_the_gcd_again(monkeypatch):
+    # bounded_factor has proven q and r prime; the test nu_p(b) != 1 is
+    # read from b mod p^2, with no primality test
+    q, r = 10**9 + 7, 998244353
+    calls = []
+    is_prime_before = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime_before(n))
+    assert _local_failure(7 * q * r, 11 * q * r, ({q: 1, r: 1}, 1)) is None
+    assert _local_failure(7 * q * r, 11 * q * q * r, ({q: 2, r: 1}, 1)) == (
+        f"p={q} divides a and b with nu_p(b) != 1")
+    assert calls == []
 
 
 def test_maximality_matches_dedekind_over_disc_primes():
