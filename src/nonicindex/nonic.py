@@ -11,8 +11,8 @@ the same key (p, a mod p, b mod p), so the certificate and nu2/nu3 share
 one factorization, and the certificate, not the classifier, meets a
 naive lift that divides F.  The certificate reads residues only: a and b
 are reduced once mod the product of the primes up to 97, and every fact
-it uses comes from those two residues, so it never builds the
-discriminant.  The other first-order-resolvable
+it uses comes from those two residues; only its root search, with no
+usable prime, builds the discriminant.  The other first-order-resolvable
 branches run through the polygons of the same engine; the branches that
 genuinely require higher-order data are encoded as congruence tables
 keyed on (a, b) residues plus nu_p(Delta) and Delta_p mod 8 or mod 3.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from math import gcd, prod
 
 from . import gf
@@ -36,6 +37,7 @@ from .arith import (
     TRIAL_LIMIT,
     bounded_factor,
     inv_mod_pk,
+    is_prime,
     primes_upto,
     trial_divide,
     unit_part,
@@ -173,43 +175,12 @@ _CERT_PRIMES = primes_upto(100)
 _CERT_PRODUCT = prod(_CERT_PRIMES)
 
 
-def _smallest_integer_root(a: int, b: int) -> int | None:
-    """The smallest integer root of x^9 + ax + b, or None if it has none."""
-    # |r| >= 2 forces |r|^8 <= |a| + |b|
-    bound = max(1, _iroot(abs(a) + abs(b), 8) + 1)
-    if a >= 0:
-        pieces = ((-bound, bound, 1),)
-    else:
-        # F' = 9x^8 + a is <= 0 on [-k, k] and > 0 for |x| >= k + 1;
-        # k < bound, so no piece is empty
-        k = _iroot(-a // 9, 8)
-        pieces = ((-bound, -k - 1, 1), (-k, k, -1), (k + 1, bound, 1))
-    for lo, hi, sign in pieces:
-        # the smallest x in [lo, hi] with sign * F(x) >= 0; sign * F rises
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * (mid**9 + a * mid + b) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo**9 + a * lo + b == 0:
-            return lo
-    return None
-
-
 # Every fact the certificate reads at a prime p is a function of (p, a mod
 # p, b mod p), since F mod p is x^9 + (a mod p)x + (b mod p): at most p^2
 # answers per prime.  4,096 entries hold every key of p = 2 to 31 (3,358);
 # 20,000 fresh pairs of 20-45 digits filled under 2,700.  An entry takes
-# about 100 bytes for the root test and 250 for the degrees.
+# about 250 bytes.
 _MOD_P_CACHE = 4096
-
-
-@lru_cache(maxsize=_MOD_P_CACHE)
-def _has_root_mod(p: int, a: int, b: int) -> bool:
-    """Whether x^9 + ax + b has a root mod p, by p evaluations; a and b are
-    reduced mod p."""
-    return any((x**9 + a * x + b) % p == 0 for x in range(p))
 
 
 @lru_cache(maxsize=_MOD_P_CACHE)
@@ -230,6 +201,43 @@ def _usable(a: int, b: int):
         ap, bp = a % p, b % p
         if (2**24 * ap**9 + 3**18 * bp**8) % p:
             yield p, ap, bp
+
+
+def _smallest_integer_root(a: int, b: int, mod_p: tuple | None) -> int | None:
+    """The smallest integer root of x^9 + ax + b, b != 0, or None if it has
+    none.  mod_p is (p, a mod p, b mod p) for a usable prime p, or None.
+
+    F mod p is squarefree, so each of its roots, found by p evaluations, is
+    simple, and Newton's step x -= F(x) / F'(x) lifts it to the one root
+    mod q = p^(2^k) above it (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 15).  An integer root r lifts r mod p, and |r| <= R =
+    iroot(|a| + |b|, 8) + 1, so once q > 2R the symmetric residue of its
+    lift is r, tested over Z: O(log(digits)) steps.
+
+    With no usable prime up to 97 the discriminant is built.  If it is 0,
+    a = -9s^8 and b = 8s^9, and F = s^9 G(x/s) with G = y^9 - 9y + 8, whose
+    only rational root is 1: the root is s = -9b/(8a).  Otherwise the lift
+    starts at the least prime past 97 that does not divide it.
+    """
+    if mod_p is None:
+        d = disc(a, b)
+        if d == 0:
+            return -9 * b // (8 * a)
+        p = next(q for q in count(101, 2) if d % q and is_prime(q))
+        mod_p = p, a % p, b % p
+    p, ap, bp = mod_p
+    bound = 2 * (_iroot(abs(a) + abs(b), 8) + 1)
+    roots = []
+    for x in (x for x in range(p) if (x**9 + ap * x + bp) % p == 0):
+        q = p
+        while q <= bound:
+            q *= q
+            x8 = pow(x, 8, q)
+            x = (x - (x8 * x + a * x + b) * pow(9 * x8 + a, -1, q)) % q
+        x = x - q if 2 * x > q else x
+        if x**9 + a * x + b == 0:
+            roots.append(x)
+    return min(roots, default=None)
 
 
 # One entry per partition of 9, the degree patterns of a squarefree F mod p
@@ -257,9 +265,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     Reducible too: a naive lift of a factor of F mod p that divides F over
     Z, for p in {2, 3} not dividing disc(a, b), the one test run last.
     Unknown otherwise.  The proofs are tried first, and the root search and
-    the cube test run only when none succeeds: a proof rules out an integer
-    root and a cubic factor alike, so the order changes no verdict, and a
-    proven F of any size pays for no root search.
+    the cube test run only when none succeeds: a proof rules out both, so
+    the order changes no verdict, and a proven F pays for no root search.
 
     F is monic, so F mod p is squarefree exactly when p does not divide
     disc(a, b); such a p <= 100 is usable, and the degrees of the
@@ -275,27 +282,17 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     primes, and every residue comes from those two numbers below 2^121:
     the polygon's test of p | b, the usable test, 2^24 a_p^9 + 3^18 b_p^8
     mod p, the cache keys, and the last step's test at 2 and 3.  The
-    discriminant, whose digits are nine times the input's, is never built.
+    discriminant, whose digits are nine times the input's, is built only
+    by the root search, and only when no prime up to 97 is usable.
 
-    A gate runs first: a root test, p evaluations of F mod p, at each
-    usable prime in turn, stopping at the first where F has no root.  If F
-    has a root mod every usable prime, every pattern has a linear factor
-    and allows the degrees 1 and 8, so neither proof can succeed: no pass
-    runs, and the root search does.  Otherwise F has no integer root, which
-    would be a root mod every p, and the search is skipped.
-
-    The root test and the factor degrees are each held in one bounded
-    cache keyed on (p, a mod p, b mod p), since F mod p depends on nothing
-    else: at most p^2 answers per prime, shared by every pair in one
-    residue class, so a caller with fresh pairs fills them too.  The
-    cached degrees are tuples, which no caller can change; nu2 and nu3
-    read their entries at 2 and 3.
-
-    The root search is complete: a root r has |r|^8 <= |a| + |b|, and on
-    that range F = x^9 + ax + b has at most three monotone pieces, split
-    where F' = 9x^8 + a changes sign.  Each piece holds at most one root,
-    found by bisection, so the search costs O(log(|a| + |b|)) evaluations
-    of F.
+    The factor degrees are held in one bounded cache keyed on (p, a mod p,
+    b mod p), since F mod p depends on nothing else: at most p^2 answers
+    per prime, shared by every pair in one residue class, so a caller with
+    fresh pairs fills it too.  The cached degrees are tuples, ascending,
+    which no caller can change; nu2 and nu3 read their entries at 2 and 3.
+    F has a root mod p when the pattern's first degree is 1.  An integer
+    root is one mod every p, so the search runs only when no prime is
+    usable or every pattern has a 1, and then no proof can succeed.
 
     The last step, before Unknown, is ore_analyze's exact-divisor test at
     2 and 3 when they do not divide disc(a, b): it divides F by the naive
@@ -312,17 +309,17 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         va = val(p, a)
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
-    rootless = not all(_has_root_mod(*mod_p) for mod_p in _usable(ar, br))
-    if rootless:
-        allowed = (1 << 10) - 1  # the degrees 0 to 9
-        for mod_p in _usable(ar, br):
-            degrees = _factor_degrees(*mod_p)
-            if degrees == (9,):
-                return Certificate.PROVEN, f"irreducible mod {mod_p[0]}"
-            allowed &= _subset_sums(degrees)
-            if allowed == 1 | 1 << 9:
-                return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
-    root = None if rootless else _smallest_integer_root(a, b)
+    allowed = (1 << 10) - 1  # the degrees 0 to 9
+    rooted = True
+    for mod_p in _usable(ar, br):
+        degrees = _factor_degrees(*mod_p)
+        if degrees == (9,):
+            return Certificate.PROVEN, f"irreducible mod {mod_p[0]}"
+        allowed &= _subset_sums(degrees)
+        if allowed == 1 | 1 << 9:
+            return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
+        rooted = rooted and degrees[0] == 1
+    root = _smallest_integer_root(a, b, next(_usable(ar, br), None)) if rooted else None
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
     if a == 0:

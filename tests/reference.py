@@ -1,9 +1,12 @@
 """Reference computations that only the tests use.
 
 The discriminant of x^9 + ax + b as a Sylvester resultant, an oracle for
-the closed form nonic.disc, and the product a gf.Factorization stands for.
+the closed form nonic.disc, the product a gf.Factorization stands for, and
+the smallest integer root of x^9 + ax + b by bisection, an oracle for the
+certificate's lifted root search.
 """
 
+from nonicindex.arith import iroot
 from nonicindex.gf import pmul, ptrim
 from nonicindex.polygon import trinomial
 
@@ -63,3 +66,28 @@ def expand(F, fact) -> tuple:
         for _ in range(mult):
             acc = pmul(F, acc, poly)
     return ptrim(acc)
+
+
+def smallest_integer_root(a: int, b: int) -> int | None:
+    """The smallest integer root of x^9 + ax + b, or None if it has none,
+    by bisection on the monotone pieces of F."""
+    # |r| >= 2 forces |r|^8 <= |a| + |b|
+    bound = max(1, iroot(abs(a) + abs(b), 8) + 1)
+    if a >= 0:
+        pieces = ((-bound, bound, 1),)
+    else:
+        # F' = 9x^8 + a is <= 0 on [-k, k] and > 0 for |x| >= k + 1;
+        # k < bound, so no piece is empty
+        k = iroot(-a // 9, 8)
+        pieces = ((-bound, -k - 1, 1), (-k, k, -1), (k + 1, bound, 1))
+    for lo, hi, sign in pieces:
+        # the smallest x in [lo, hi] with sign * F(x) >= 0; sign * F rises
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * (mid**9 + a * mid + b) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo**9 + a * lo + b == 0:
+            return lo
+    return None

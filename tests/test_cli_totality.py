@@ -44,6 +44,8 @@ def _run(argv):
 @example(1, 1, True)  # the engine meets the factor x^2 + x + 1
 @example(17, 6, False)
 @example(-(10**301) - 7, 0, False)  # gcd(a, b) = |a|, far past any sieve
+# an integer root, 3, with b of 4,000 digits, just under int()'s 4,300
+@example(10**3999 + 7, -(3**9 + 3 * (10**3999 + 7)), False)
 def test_classify_cli_is_total(a, b, as_json):
     code, text = _run(["classify", "--a", str(a), "--b", str(b)] + ["--json"] * as_json)
     assert code in (0, 1, 2, 3), text

@@ -43,12 +43,11 @@ from nonicindex.nonic import (
     _CERT_PRIMES,
     _CERT_PRODUCT,
     Certificate,
-    _smallest_integer_root,
     disc,
     irreducibility_certificate,
 )
 from nonicindex.polygon import Splitting, trinomial
-from reference import expand
+from reference import expand, smallest_integer_root
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -453,7 +452,7 @@ def _reference_certificate(a, b):
     F mod p (sympy's, coefficients in [0, p)) of degree below 9."""
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
-    root = _smallest_integer_root(a, b)
+    root = smallest_integer_root(a, b)
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {root}"
     for p in (q for q in PRIMES_TO_97 if b % q == 0):
@@ -529,6 +528,31 @@ def test_usable_primes_from_residues_match_the_discriminant(a, b):
     assert keys == [(p, a % p, b % p) for p, _, _ in keys]
 
 
+# integers of 1-2,000 digits, either sign, and roots of up to 200 digits
+DIGITS_1_2000 = st.integers(1, 2000).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1))
+ROOTS = st.integers(0, 200).flatmap(lambda d: st.integers(-(10**d), 10**d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DIGITS_1_2000, DIGITS_1_2000, st.one_of(st.none(), ROOTS))
+@example(-9, 8, None)  # disc(a, b) = 0: the double root s = 1
+@example(-9, -8, None)
+@example(-9 * 2**8, 8 * 2**9, None)
+@example(-9 * 7**8, -8 * 7**9, None)
+@example(_CERT_PRODUCT, -(_CERT_PRODUCT**9 + _CERT_PRODUCT**2), None)  # no p <= 97 is usable
+@example(0, -(2**9), None)
+@example(0, 27, None)
+def test_lifted_root_search_matches_the_bisection(a, b, r):
+    # the root search lifts the roots mod the first usable prime, or mod one
+    # past 97 when there is none; on pairs with and without a planted root r
+    # it finds the smallest integer root that bisection finds
+    if r is not None:
+        b = -(r**9 + a * r)
+    assume(b != 0)
+    first = next(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT), None)
+    assert nonic._smallest_integer_root(a, b, first) == smallest_integer_root(a, b), (a, b)
+
+
 def _partitions(n, largest=None):
     """Every partition of n, each as a tuple in ascending order."""
     if n == 0:
@@ -570,29 +594,27 @@ def test_cached_dedekind_entry_matches_a_fresh_entry(p, rule):
 
 
 def _clear_certificate_caches():
-    nonic._has_root_mod.cache_clear()
     nonic._factor_degrees.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_cached_mod_p_facts_match_a_fresh_computation(p):
-    # the certificate's root test and degree pattern are cached on
-    # (p, a mod p, b mod p), and at 2 and 3 nu2 and nu3 read the same
-    # degrees: the first round over every residue pair fills the caches,
-    # the second reads them, and every answer equals one computed afresh,
-    # by evaluation, by the reference pass and by gf.factor's degrees
+    # the certificate's degree pattern is cached on (p, a mod p, b mod p),
+    # and at 2 and 3 nu2 and nu3 read the same degrees: the first round over
+    # every squarefree residue pair fills the cache, the second reads it,
+    # and every answer equals one computed afresh, by the reference pass
+    # and by gf.factor's degrees.  The pattern's root test, a 1 among the
+    # degrees, matches evaluation
     _clear_certificate_caches()
     squarefree = [(a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
     for _ in range(2):
-        for a, b in itertools.product(range(p), repeat=2):
-            assert nonic._has_root_mod(p, a, b) == any(
-                (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)
         for a, b in squarefree:
             degrees = nonic._factor_degrees(p, a, b)
             assert degrees == tuple(_reference_degrees(a, b, p)), (p, a, b)
             factored = factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors
             assert degrees == tuple(sorted(pdeg(psi) for psi, _ in factored)), (p, a, b)
-    assert nonic._has_root_mod.cache_info().misses == p * p
+            assert (1 in degrees) == (degrees[0] == 1) == any(
+                (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)
     assert nonic._factor_degrees.cache_info().misses == len(squarefree)
 
 
@@ -600,23 +622,23 @@ def test_congruent_pairs_share_the_certificate_cache_entries():
     # a pair moved by multiples of p^(nu_p + 1) for every p <= 100 keeps its
     # valuations there, so it takes the same path through the certificate,
     # and meets the same (p, a mod p, b mod p) keys: the second certificate
-    # adds no entry to either cache
+    # adds no entry to the cache
     def step(n):
         return prod(p ** (val(p, n) + 1) for p in _CERT_PRIMES)
 
-    caches = (nonic._has_root_mod, nonic._factor_degrees)
+    cache = nonic._factor_degrees
     rng = random.Random(27)
     read = 0
     for _ in range(100):
         a, b = (rng.choice((-1, 1)) * rng.randrange(1, 10**30) for _ in range(2))
         _clear_certificate_caches()
         irreducibility_certificate(a, b)
-        filled = [cache.cache_info() for cache in caches]
+        filled = cache.cache_info()
         irreducibility_certificate(a + rng.randrange(1, 10**9) * step(a),
                                    b - rng.randrange(1, 10**9) * step(b))
-        after = [cache.cache_info() for cache in caches]
-        assert [info.misses for info in after] == [info.misses for info in filled], (a, b)
-        read += sum(info.hits for info in after) > sum(info.hits for info in filled)
+        after = cache.cache_info()
+        assert after.misses == filled.misses, (a, b)
+        read += after.hits > filled.hits
     assert read >= 40, read  # the rest are settled before p = 5, with no cache read
 
 
@@ -625,9 +647,10 @@ def test_certificate_matches_reference_on_seeded_pairs():
     # is irreducible mod 2; (17, 6) and (17, -6) are reducible with no
     # integer root, and a naive lift of a factor of F mod 3 divides the
     # first but not the second, which stays unknown.  The last 300
-    # are reducible mod 7 with no root mod 7, so that the root-test gate
-    # opens at 7 at the latest, and the primes before it that have a root
-    # still have their patterns folded into the degree-sum proof.
+    # are reducible mod 7 with no root mod 7, so that a pattern without a
+    # 1 rules out the root search at 7 at the latest, and the primes before
+    # it that have a root still have their patterns folded into the
+    # degree-sum proof.
     rng = random.Random(2024)
     pairs = [(1, 1), (17, 6), (17, -6)]
     for i in range(2000):

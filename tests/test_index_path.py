@@ -8,6 +8,8 @@ root bound; normalize against scaling by p^8, p^9.
 import hashlib
 import json
 import random
+import sys
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -18,6 +20,7 @@ from sympy import Poly, Symbol, nextprime
 from nonicindex import gf, nonic, polygon
 from nonicindex.nonic import (
     _CERT_PRIMES,
+    _CERT_PRODUCT,
     Certificate,
     IndeterminateFactorization,
     ReduciblePolynomial,
@@ -94,7 +97,7 @@ def test_certificate_reports_smallest_of_two_roots(r, gap):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-(10**18), 10**18), st.integers(-(10**18), 10**18), st.integers(-150, 150))
 def test_certificate_matches_root_scan_wide(a, b, r):
-    # negative a of this size splits F into three monotone pieces of many integers
+    # pairs up to 10^18, each also with a planted root
     _assert_matches_scan(a, b)
     _assert_matches_scan(a, -(r**9 + a * r))
 
@@ -159,6 +162,45 @@ def test_certificate_and_unit_branches_build_no_discriminant(monkeypatch, cold_c
                     break
             assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN, (digits, r, s)
             assert (nu2(a, b).rule, nu3(a, b).rule) == ("2:unit-b", "3:unit-a"), (a, b)
+    # F with an integer root and a usable prime: the root search lifts the
+    # roots mod that prime, and builds no discriminant either
+    for digits in (20, 400, 5000):
+        for _ in range(5):
+            a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+            r = rng.choice((-1, 1)) * rng.randrange(1, 100)
+            b = -(r**9 + a * r)
+            assert next(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT), None), digits
+            assert irreducibility_certificate(a, b) == (
+                Certificate.REDUCIBLE, f"integer root x = {r}"), digits
+
+
+P = _CERT_PRODUCT
+
+
+@pytest.mark.parametrize("a, b", [
+    (-9, 8), (-9, -8), (-9 * 2**8, 8 * 2**9), (-9 * 7**8, -8 * 7**9),  # disc(a, b) = 0
+    # every p <= 97 divides a and b, so disc(a, b), and no polygon proves F
+    # irreducible: the roots are P and -P
+    (P, -(P**9 + P * P)), (P, P**9 + P * P),
+    (1, 1), (1, 2), (0, -(2**9)), (0, 27), (17, -6),
+])
+def test_root_search_builds_the_discriminant_only_with_no_usable_prime(monkeypatch, a, b):
+    # the root search builds disc(a, b) only when no prime up to 97 is
+    # usable, and then once: to find a prime past 97 to lift from, or to
+    # read the double root s = -9b/(8a) when disc(a, b) = 0
+    built = []
+
+    def recorded(a, b):
+        built.append((a, b))
+        return disc(a, b)
+
+    monkeypatch.setattr(nonic, "disc", recorded)
+    usable = next(nonic._usable(a % P, b % P), None) is not None
+    cert, detail = irreducibility_certificate(a, b)
+    assert built == ([] if usable else [(a, b)]), (a, b)
+    if not usable:
+        r = int(detail.removeprefix("integer root x = "))
+        assert cert is Certificate.REDUCIBLE and r**9 + a * r + b == 0, (a, b)
 
 
 def _naive_splitting(F, p):
@@ -222,16 +264,15 @@ def test_unramified_splitting_matches_the_engine(a0, b0, scale):
 
 @pytest.fixture
 def cold_certificate():
-    """The certificate's mod-p caches cleared, so that a test that watches
+    """The certificate's mod-p cache cleared, so that a test that watches
     its passes or its root search sees the cold path in any test order."""
-    nonic._has_root_mod.cache_clear()
     nonic._factor_degrees.cache_clear()
 
 
 def test_certificate_proves_without_a_root_search(monkeypatch, cold_certificate):
     # a proof rules out an integer root, so the search never runs once one
     # is found, whatever the size of the input (here up to about 5,000 digits)
-    def no_search(a, b):
+    def no_search(*args):
         raise AssertionError("root search ran")
 
     monkeypatch.setattr(nonic, "_smallest_integer_root", no_search)
@@ -254,9 +295,9 @@ def test_certificate_unknown_pairs_skip_the_root_search(monkeypatch, cold_certif
     searched = []
     search = nonic._smallest_integer_root
 
-    def recorded(a, b):
+    def recorded(a, b, mod_p):
         searched.append((a, b))
-        return search(a, b)
+        return search(a, b, mod_p)
 
     monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
     if (a, b) == (17, 6):
@@ -268,21 +309,20 @@ def test_certificate_unknown_pairs_skip_the_root_search(monkeypatch, cold_certif
     assert disc(a, b) % 13 and all((x**9 + a * x + b) % 13 for x in range(13))
 
 
-def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch, cold_certificate):
-    # F with an integer root r has a root mod every p, so the root-test gate
-    # never opens: no distinct-degree pass and no gf.factor call at any p,
-    # 2 and 3 included.  The root search runs, once, and reports r
+def test_certificate_searches_once_on_an_integer_root(monkeypatch, cold_certificate):
+    # F with an integer root r has a root mod every p, so every pattern has
+    # a 1 and no proof succeeds.  The root search runs, once, and reports r
+    # before the last step: no gf.factor call at any p, 2 and 3 included
     searched = []
     search = nonic._smallest_integer_root
 
     def no_call(*args):
-        raise AssertionError("mod-p factorization ran")
+        raise AssertionError("gf.factor ran")
 
-    def recorded(a, b):
+    def recorded(a, b, mod_p):
         searched.append((a, b))
-        return search(a, b)
+        return search(a, b, mod_p)
 
-    monkeypatch.setattr(gf, "distinct_degree", no_call)
     monkeypatch.setattr(gf, "factor", no_call)
     monkeypatch.setattr(nonic, "_smallest_integer_root", recorded)
     rng = random.Random(18)
@@ -295,6 +335,24 @@ def test_certificate_runs_no_pass_on_an_integer_root(monkeypatch, cold_certifica
             assert irreducibility_certificate(a, b) == (
                 Certificate.REDUCIBLE, f"integer root x = {r}"), (a, b)
             assert searched == [(a, b)], (a, b)
+
+
+@pytest.mark.slow
+def test_certificate_lifts_a_20000_digit_root_in_under_a_second(cold_certificate):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an assertion message may print the pair
+    try:
+        rng = random.Random(20000)
+        a = rng.randrange(10**19999, 10**20000)
+        r = -rng.randrange(1, 100)
+        b = -(r**9 + a * r)
+        start = time.perf_counter()
+        result = irreducibility_certificate(a, b)
+        elapsed = time.perf_counter() - start
+        assert result == (Certificate.REDUCIBLE, f"integer root x = {r}")
+        assert elapsed < 1, elapsed
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_unramified_split_divides_only_where_psi_2_divides_F_2(monkeypatch):

@@ -75,7 +75,7 @@ def _caches():
 def test_every_cache_in_src_is_bounded():
     # an unbounded cache grows for the life of the process
     caches = dict(_caches())
-    assert {"gf.factor", "arith._ecm_plan", "nonic._has_root_mod", "nonic._factor_degrees",
-            "nonic._subset_sums", "nonic._dedekind_entry", "engstrom.nu_lookup"} <= set(caches)
+    assert {"gf.factor", "arith._ecm_plan", "nonic._factor_degrees", "nonic._subset_sums",
+            "nonic._dedekind_entry", "engstrom.nu_lookup"} <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert not unbounded, unbounded
