@@ -6,10 +6,10 @@ splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
 ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
 3 not dividing a), Dedekind's theorem settles p: it is unramified, and
 pZ_K splits like F mod p, one prime (1, d) per factor of degree d.  Those
-degrees are the irreducibility certificate's cached _factor_degrees at
-the same key (p, a mod p, b mod p), so the certificate and nu2/nu3 share
-one factorization, and the certificate, not the classifier, meets a
-naive lift that divides F.  The certificate reads residues only: a and b
+degrees are the irreducibility certificate's slot of (a mod p, b mod p)
+in its mod-p table, so the certificate and nu2/nu3 share one
+factorization, and the certificate, not the classifier, meets a naive
+lift that divides F.  The certificate reads residues only: a and b
 are reduced once mod the product of the primes up to 97, and every fact
 it uses comes from those two residues; only its root search, with no
 usable prime, builds the discriminant.  The other first-order-resolvable
@@ -175,31 +175,42 @@ _CERT_PRIMES = primes_upto(100)
 _CERT_PRODUCT = prod(_CERT_PRIMES)
 
 
-# Every fact the certificate reads at a prime p is a function of (p, a mod
-# p, b mod p), since F mod p is x^9 + (a mod p)x + (b mod p): at most p^2
-# answers per prime.  4,096 entries hold every key of p = 2 to 31 (3,358);
-# 20,000 fresh pairs of 20-45 digits filled under 2,700.  An entry takes
-# about 250 bytes.
-_MOD_P_CACHE = 4096
+# The certificate's mod-p table.  F mod p is x^9 + (a mod p)x + (b mod p),
+# so every fact read at a prime p <= 97 is one of p^2: row p has a slot per
+# residue pair, allocated the first time a certificate reaches p.  All 25
+# rows hold 65,796 slots, about 0.5 MB, and nothing is evicted: the slots
+# share one tuple per pattern, at most one per partition of 9.
+_ROWS = dict.fromkeys(_CERT_PRIMES)
+_PATTERNS = {}
 
 
-@lru_cache(maxsize=_MOD_P_CACHE)
-def _factor_degrees(p: int, a: int, b: int) -> tuple:
-    """The degrees of the irreducible factors of x^9 + ax + b mod p, in
-    ascending order, by one distinct-degree pass; a and b are reduced mod
-    p, and p does not divide disc(a, b), so F mod p is squarefree.  The
-    certificate's patterns, and nu2's and nu3's splittings at 2 and 3."""
-    parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b))
-    return tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
+def _factor_degrees(p: int, a: int, b: int) -> tuple | bool:
+    """The slot of x^9 + ax + b mod p in row p, a and b reduced mod p,
+    filled on its first read: False when p divides disc(a, b), that is
+    2^24 a^9 + 3^18 b^8 mod p, and otherwise the degrees of the
+    irreducible factors of F mod p, which is then squarefree, in ascending
+    order, by one distinct-degree pass.  The certificate's patterns, and
+    nu2's and nu3's splittings at 2 and 3."""
+    row = _ROWS[p]
+    if row is None:
+        row = _ROWS[p] = [None] * (p * p)
+    degrees = row[a * p + b]
+    if degrees is None:
+        degrees = False
+        if (2**24 * a**9 + 3**18 * b**8) % p:
+            parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b))
+            degrees = tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
+            degrees = _PATTERNS.setdefault(degrees, degrees)
+        row[a * p + b] = degrees
+    return degrees
 
 
 def _usable(a: int, b: int):
     """(p, a mod p, b mod p) for each p in _CERT_PRIMES, in order, that does
-    not divide disc(a, b), lazily: disc(a, b) mod p is 2^24 a_p^9 + 3^18
-    b_p^8 mod p, read from the residues a_p and b_p with no discriminant."""
+    not divide disc(a, b), lazily: each p whose slot holds a pattern."""
     for p in _CERT_PRIMES:
         ap, bp = a % p, b % p
-        if (2**24 * ap**9 + 3**18 * bp**8) % p:
+        if _factor_degrees(p, ap, bp):
             yield p, ap, bp
 
 
@@ -279,47 +290,57 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
 
     Every fact read at a prime p <= 100 is a function of a mod p and b mod
     p, so a and b are reduced once mod _CERT_PRODUCT, the product of those
-    primes, and every residue comes from those two numbers below 2^121:
-    the polygon's test of p | b, the usable test, 2^24 a_p^9 + 3^18 b_p^8
-    mod p, the cache keys, and the last step's test at 2 and 3.  The
+    primes, and every residue comes from those two numbers below 2^121.
+    The polygon proves F irreducible only at a p dividing both a and b
+    (else 8 v_p(b) < 9 v_p(a) fails), so the scan visits the prime
+    factors of one gcd of the residues with _CERT_PRODUCT, in order.  The
     discriminant, whose digits are nine times the input's, is built only
     by the root search, and only when no prime up to 97 is usable.
 
-    The factor degrees are held in one bounded cache keyed on (p, a mod p,
-    b mod p), since F mod p depends on nothing else: at most p^2 answers
-    per prime, shared by every pair in one residue class, so a caller with
-    fresh pairs fills it too.  The cached degrees are tuples, ascending,
-    which no caller can change; nu2 and nu3 read their entries at 2 and 3.
-    F has a root mod p when the pattern's first degree is 1.  An integer
-    root is one mod every p, so the search runs only when no prime is
-    usable or every pattern has a 1, and then no proof can succeed.
+    The mod-p facts sit in one table, a row per prime p <= 97 and a slot
+    per (a mod p, b mod p), since F mod p depends on nothing else: False
+    when p divides disc(a, b), the pattern otherwise (_factor_degrees).
+    A slot is filled on its first read and never evicted, and is shared
+    by every pair in its residue class, so a caller with fresh pairs
+    fills the table too; the loop reads one slot per prime.  A pattern is
+    a tuple, ascending, which no caller can change; nu2 and nu3 read their
+    slots at 2 and 3.  F has a root mod p when the pattern has a 1, which
+    sets bit 1 of its subset sums.  An integer root is one mod every p, so
+    the search runs only when bit 1 survives the fold, every pattern
+    having a 1 or no prime being usable, and then no proof can succeed.
 
     The last step, before Unknown, is ore_analyze's exact-divisor test at
     2 and 3 when they do not divide disc(a, b): it divides F by the naive
     lift of each factor of F mod p of degree below 9 that may divide it.
-    There nu2 and nu3 read the splitting off _factor_degrees with no
-    engine call, so the certificate is what meets such a lift.
+    There nu2 and nu3 read the splitting off the table with no engine
+    call, so the certificate is what meets such a lift.
     """
     if b == 0:
         return Certificate.REDUCIBLE, "x divides x^9 + ax"
     ar, br = a % _CERT_PRODUCT, b % _CERT_PRODUCT
-    # one-sided polygon of totally ramified shape at a small prime
-    for p in (q for q in _CERT_PRIMES if br % q == 0):
+    # one-sided polygon of totally ramified shape at a small prime: it
+    # divides b, and a too, or 8 v_p(b) < 9 v_p(a) fails
+    g = gcd(ar, br, _CERT_PRODUCT)
+    for p in _CERT_PRIMES:
+        if g == 1:
+            break
+        if g % p:
+            continue
+        g //= p
         vb = val(p, b)
         va = val(p, a)
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed = (1 << 10) - 1  # the degrees 0 to 9
-    rooted = True
-    for mod_p in _usable(ar, br):
-        degrees = _factor_degrees(*mod_p)
-        if degrees == (9,):
-            return Certificate.PROVEN, f"irreducible mod {mod_p[0]}"
-        allowed &= _subset_sums(degrees)
-        if allowed == 1 | 1 << 9:
-            return Certificate.PROVEN, "mod-p factor degrees only allow trivial splits"
-        rooted = rooted and degrees[0] == 1
-    root = _smallest_integer_root(a, b, next(_usable(ar, br), None)) if rooted else None
+    for p in _CERT_PRIMES:
+        degrees = _factor_degrees(p, ar % p, br % p)
+        if degrees:  # False when p divides disc(a, b)
+            allowed &= _subset_sums(degrees)
+            if allowed == 1 | 1 << 9:
+                return Certificate.PROVEN, (f"irreducible mod {p}" if degrees == (9,) else
+                                            "mod-p factor degrees only allow trivial splits")
+    # bit 1 is left when every pattern has a 1, a root mod every usable p
+    root = _smallest_integer_root(a, b, next(_usable(ar, br), None)) if allowed & 2 else None
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
     if a == 0:
@@ -574,7 +595,7 @@ def nu2(a: int, b: int) -> PrimeEntry:
     Input must be normalized and irreducible.  For b odd, 2 does not divide
     disc(a, b), F mod 2 is squarefree, and 2 splits by Dedekind's theorem,
     one prime (1, d) per factor degree d of F mod 2, read from the
-    certificate's cached _factor_degrees with no engine call.
+    certificate's mod-p table with no engine call.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
@@ -634,10 +655,10 @@ def nu3(a: int, b: int) -> PrimeEntry:
     Input must be normalized and irreducible.  For 3 not dividing a, 3 does
     not divide disc(a, b), F mod 3 is squarefree, and 3 splits by
     Dedekind's theorem, one prime (1, d) per factor degree d of F mod 3,
-    read from the certificate's cached _factor_degrees with no engine
-    call.  Where F = (x - s)^9 mod 3 and the lift x - s stays irregular,
-    the "deep" shape is a lookup on nu_3(disc) and Delta_3 mod 3 with no
-    engine call; engine_split's critical lift is what checks it.
+    read from the certificate's mod-p table with no engine call.  Where
+    F = (x - s)^9 mod 3 and the lift x - s stays irregular, the "deep"
+    shape is a lookup on nu_3(disc) and Delta_3 mod 3 with no engine
+    call; engine_split's critical lift is what checks it.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")

@@ -3,9 +3,11 @@
 The discriminant of x^9 + ax + b as a Sylvester resultant, an oracle for
 the closed form nonic.disc, the product a gf.Factorization stands for, and
 the smallest integer root of x^9 + ax + b by bisection, an oracle for the
-certificate's lifted root search.
+certificate's lifted root search, and a watch that counts what the
+certificate's mod-p table is asked.
 """
 
+from nonicindex import gf, nonic
 from nonicindex.arith import iroot
 from nonicindex.gf import pmul, ptrim
 from nonicindex.polygon import trinomial
@@ -91,3 +93,44 @@ def smallest_integer_root(a: int, b: int) -> int | None:
         if lo**9 + a * lo + b == 0:
             return lo
     return None
+
+
+def clear_table() -> None:
+    """Empty the certificate's mod-p table: every row unallocated."""
+    nonic._ROWS.update(dict.fromkeys(nonic._ROWS))
+
+
+def filled_slots() -> int:
+    """The number of filled slots in the certificate's mod-p table."""
+    return sum(slot is not None for row in nonic._ROWS.values() if row for slot in row)
+
+
+class TableWatch:
+    """The certificate's mod-p table, emptied, with two counts: reads, the
+    slots read from its rows, and passes, the distinct-degree passes run to
+    fill them.  Each row becomes a list of p^2 empty slots that counts its
+    reads; monkeypatch puts the rows and gf.distinct_degree back."""
+
+    def __init__(self, monkeypatch):
+        self.reads = self.passes = 0
+        self._monkeypatch = monkeypatch
+        watch = self
+        distinct_degree = gf.distinct_degree
+
+        def counted(*args):
+            watch.passes += 1
+            return distinct_degree(*args)
+
+        class Row(list):
+            def __getitem__(self, i):
+                watch.reads += 1
+                return list.__getitem__(self, i)
+
+        self._row = Row
+        monkeypatch.setattr(gf, "distinct_degree", counted)
+        self.clear()
+
+    def clear(self) -> None:
+        """Empty every row again; the counts go on."""
+        for p in nonic._ROWS:
+            self._monkeypatch.setitem(nonic._ROWS, p, self._row([None] * (p * p)))

@@ -47,7 +47,7 @@ from nonicindex.nonic import (
     irreducibility_certificate,
 )
 from nonicindex.polygon import Splitting, trinomial
-from reference import expand, smallest_integer_root
+from reference import TableWatch, clear_table, expand, filled_slots, smallest_integer_root
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -593,53 +593,72 @@ def test_cached_dedekind_entry_matches_a_fresh_entry(p, rule):
     assert nonic._dedekind_entry.cache_info().maxsize >= 2 * len(patterns)
 
 
-def _clear_certificate_caches():
-    nonic._factor_degrees.cache_clear()
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_cached_mod_p_facts_match_a_fresh_computation(p):
-    # the certificate's degree pattern is cached on (p, a mod p, b mod p),
-    # and at 2 and 3 nu2 and nu3 read the same degrees: the first round over
-    # every squarefree residue pair fills the cache, the second reads it,
-    # and every answer equals one computed afresh, by the reference pass
-    # and by gf.factor's degrees.  The pattern's root test, a 1 among the
-    # degrees, matches evaluation
-    _clear_certificate_caches()
+def test_cached_mod_p_facts_match_a_fresh_computation(monkeypatch, p):
+    # the certificate's degree pattern sits in row p of the mod-p table, at
+    # the slot of (a mod p, b mod p), and at 2 and 3 nu2 and nu3 read the
+    # same degrees: the first round over every squarefree residue pair
+    # fills the slots, the second reads them, and every answer equals one
+    # computed afresh, by the reference pass and by gf.factor's degrees.
+    # The pattern's root test, a 1 among the degrees, matches evaluation.
+    # The slot of every other pair says that p divides the discriminant
     squarefree = [(a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
+    factored = {(a, b): factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors
+                for a, b in squarefree}  # before the watch: gf.factor runs passes too
+    watch = TableWatch(monkeypatch)
     for _ in range(2):
         for a, b in squarefree:
             degrees = nonic._factor_degrees(p, a, b)
             assert degrees == tuple(_reference_degrees(a, b, p)), (p, a, b)
-            factored = factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors
-            assert degrees == tuple(sorted(pdeg(psi) for psi, _ in factored)), (p, a, b)
+            assert degrees == tuple(sorted(pdeg(psi) for psi, _ in factored[a, b])), (p, a, b)
             assert (1 in degrees) == (degrees[0] == 1) == any(
                 (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)
-    assert nonic._factor_degrees.cache_info().misses == len(squarefree)
+    assert filled_slots() == watch.passes == len(squarefree)
+    assert all(nonic._factor_degrees(p, a, b) is False
+               for a in range(p) for b in range(p) if disc(a, b) % p == 0)
+    assert (filled_slots(), watch.passes) == (p * p, len(squarefree))
 
 
-def test_congruent_pairs_share_the_certificate_cache_entries():
+def test_congruent_pairs_share_the_certificate_cache_entries(monkeypatch):
     # a pair moved by multiples of p^(nu_p + 1) for every p <= 100 keeps its
     # valuations there, so it takes the same path through the certificate,
-    # and meets the same (p, a mod p, b mod p) keys: the second certificate
-    # adds no entry to the cache
+    # and meets the same slots of the mod-p table: the second certificate
+    # fills no slot and runs no distinct-degree pass
     def step(n):
         return prod(p ** (val(p, n) + 1) for p in _CERT_PRIMES)
 
-    cache = nonic._factor_degrees
+    watch = TableWatch(monkeypatch)
     rng = random.Random(27)
     read = 0
     for _ in range(100):
         a, b = (rng.choice((-1, 1)) * rng.randrange(1, 10**30) for _ in range(2))
-        _clear_certificate_caches()
+        watch.clear()
         irreducibility_certificate(a, b)
-        filled = cache.cache_info()
+        filled, passes, reads = filled_slots(), watch.passes, watch.reads
         irreducibility_certificate(a + rng.randrange(1, 10**9) * step(a),
                                    b - rng.randrange(1, 10**9) * step(b))
-        after = cache.cache_info()
-        assert after.misses == filled.misses, (a, b)
-        read += after.hits > filled.hits
-    assert read >= 40, read  # the rest are settled before p = 5, with no cache read
+        assert (filled_slots(), watch.passes) == (filled, passes), (a, b)
+        read += watch.reads > reads
+    assert read >= 40, read  # the rest are proven by the polygon, before any table read
+
+
+def test_a_second_pass_over_planted_root_pairs_runs_no_distinct_degree_pass(monkeypatch):
+    # F with an integer root has a root mod every p, so its certificate
+    # reads all 25 patterns; 600 such pairs of 3-45 digits need more than
+    # 9,000 slots, and the table, which never evicts, keeps them all
+    rng = random.Random(33)
+    pairs = []
+    for _ in range(600):
+        digits = rng.randrange(3, 46)
+        a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+        r = rng.choice((-1, 1)) * rng.randrange(1, 100)
+        pairs.append((a, -(r**9 + a * r)))
+    watch = TableWatch(monkeypatch)
+    first = [irreducibility_certificate(a, b) for a, b in pairs]
+    passes = watch.passes
+    assert passes > 4096, passes
+    assert [irreducibility_certificate(a, b) for a, b in pairs] == first
+    assert watch.passes == passes
 
 
 def test_certificate_matches_reference_on_seeded_pairs():
@@ -681,7 +700,7 @@ def test_certificate_matches_reference_on_seeded_pairs():
     for a, b in pairs:
         expected = _reference_certificate(a, b)
         assert irreducibility_certificate(a, b) == expected, (a, b)  # caches warm
-        _clear_certificate_caches()
+        clear_table()
         assert irreducibility_certificate(a, b) == expected, (a, b)  # caches cold
         verdicts.add(expected[1].split(" = ")[0].split(" mod ")[0])
         if expected[1].startswith("mod-p factor degrees"):
@@ -691,3 +710,30 @@ def test_certificate_matches_reference_on_seeded_pairs():
         "irreducible", "mod-p factor degrees only allow trivial splits",
         "phi divides F exactly; F is reducible", "no cheap certificate found"}, verdicts
     assert folds_linear > 0
+
+
+# integers of 1-45 digits, either sign, times a product of up to eight
+# primes <= 97, with repeats: pairs where many small primes divide b, and a
+SMOOTH_1_45 = st.builds(
+    lambda n, primes: n * prod(primes),
+    st.integers(1, 45).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1)),
+    st.lists(st.sampled_from(_CERT_PRIMES), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMOOTH_1_45, SMOOTH_1_45)
+@example(1, _CERT_PRODUCT)  # all 25 primes divide b, none divides a
+@example(_CERT_PRODUCT, -_CERT_PRODUCT)  # all 25 divide a and b: polygon at 2
+@example(_CERT_PRODUCT**2, _CERT_PRODUCT**3)  # all 25 divide both, and no slope proves
+@example(10**40 + 7, 1)  # no prime divides b
+@example(-6, -1)
+@example(0, 1)
+@example(0, 2 * 3 * 5)  # a = 0, 2 exactly divides b: polygon at 2
+@example(0, 2**3 * 3**3 * 97)  # a = 0: the slopes -3/9 at 2 and 3 fail, 97 proves
+@example(2**2 * 5, 2**3 * 5)  # 2 fails (8 * 3 >= 9 * 2), 5 proves
+@example(3 * 97, 3**3 * 7 * 97)  # 3 fails, 7 does not divide a, 97 proves
+def test_polygon_scan_matches_the_reference_certificate(a, b):
+    # the one-sided-polygon scan visits only the primes <= 97 dividing a
+    # and b, by one gcd, in order; the verdict and detail are the plain
+    # loop's, which tests every prime <= 97 dividing b
+    assert irreducibility_certificate(a, b) == _reference_certificate(a, b), (a, b)

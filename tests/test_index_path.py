@@ -41,6 +41,7 @@ from nonicindex.polygon import (
     trinomial,
     zeval,
 )
+from reference import TableWatch, clear_table, filled_slots
 
 
 def _scanned_root(a, b):
@@ -126,21 +127,22 @@ def test_irreducible_mod_p_verdict_matches_sympy(a, b):
 @pytest.mark.parametrize("a, b", [(805694, -684135), (-264088, 120095), (506678, 229717)])
 def test_certificate_shares_factorizations_with_nu2_nu3(monkeypatch, cold_certificate, a, b):
     # b odd, 3 does not divide a, and disc(a, b) is prime to 6: on its way
-    # to a proof the certificate reads the factor degrees of F mod 2 and
-    # mod 3, and nu2 and nu3 build their Dedekind splittings from those
-    # two cache entries, adding no miss; neither reaches the engine
+    # to a proof the certificate fills the slots of F mod 2 and mod 3 in
+    # the mod-p table, and nu2 and nu3 build their Dedekind splittings from
+    # those two slots, one read each, filling nothing and running no
+    # distinct-degree pass; neither reaches the engine
     def no_call(*args, **kwargs):
         raise AssertionError("gf.factor or ore_analyze ran")
 
+    watch = TableWatch(monkeypatch)
     monkeypatch.setattr(gf, "factor", no_call)
     monkeypatch.setattr(polygon, "ore_analyze", no_call)
     monkeypatch.setattr(nonic, "ore_analyze", no_call)
     assert irreducibility_certificate(a, b)[0] is Certificate.PROVEN
-    filled = nonic._factor_degrees.cache_info()
+    filled, passes, reads = filled_slots(), watch.passes, watch.reads
     entries = nu2(a, b), nu3(a, b)
-    after = nonic._factor_degrees.cache_info()
     assert [e.rule for e in entries] == ["2:unit-b", "3:unit-a"]
-    assert (after.misses, after.hits) == (filled.misses, filled.hits + 2)
+    assert (filled_slots(), watch.passes, watch.reads) == (filled, passes, reads + 2)
 
 
 def test_certificate_and_unit_branches_build_no_discriminant(monkeypatch, cold_certificate):
@@ -264,9 +266,9 @@ def test_unramified_splitting_matches_the_engine(a0, b0, scale):
 
 @pytest.fixture
 def cold_certificate():
-    """The certificate's mod-p cache cleared, so that a test that watches
+    """The certificate's mod-p table emptied, so that a test that watches
     its passes or its root search sees the cold path in any test order."""
-    nonic._factor_degrees.cache_clear()
+    clear_table()
 
 
 def test_certificate_proves_without_a_root_search(monkeypatch, cold_certificate):

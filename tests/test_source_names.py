@@ -5,7 +5,8 @@ The package's source is parsed with ast.  Each top-level def or class,
 and each method other than a dunder, must be named somewhere in src
 outside its own definition (a call, an attribute, a reference) or be
 exported through nonicindex.__all__.  Each object in a src module, or in
-a class defined there, that has cache_info() has a finite maxsize.
+a class defined there, that has cache_info() has a finite maxsize, and
+the certificate's mod-p table has a fixed size.
 """
 
 import ast
@@ -14,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import nonicindex
+from nonicindex import nonic
 
 SRC = Path(nonicindex.__file__).parent
 
@@ -75,7 +77,17 @@ def _caches():
 def test_every_cache_in_src_is_bounded():
     # an unbounded cache grows for the life of the process
     caches = dict(_caches())
-    assert {"gf.factor", "arith._ecm_plan", "nonic._factor_degrees", "nonic._subset_sums",
+    assert {"gf.factor", "arith._ecm_plan", "nonic._subset_sums",
             "nonic._dedekind_entry", "engstrom.nu_lookup"} <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert not unbounded, unbounded
+    # the certificate's mod-p table never evicts, so its size is fixed: one
+    # row per prime p <= 97, and row p, once its first slot is read, holds
+    # p^2 slots, one per (a mod p, b mod p), whatever is read after it
+    assert tuple(nonic._ROWS) == nonic._CERT_PRIMES and len(nonic._ROWS) == 25
+    for p in nonic._ROWS:
+        for a in range(p):
+            nonic._factor_degrees(p, a, (3 * a + 1) % p)
+    assert tuple(nonic._ROWS) == nonic._CERT_PRIMES
+    assert all(len(row) <= p * p for p, row in nonic._ROWS.items())
+    assert sum(len(row) for row in nonic._ROWS.values()) == 65796
