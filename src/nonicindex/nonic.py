@@ -6,13 +6,14 @@ splitting type of pZ_K.  Only p = 2 and p = 3 can divide i(K); no p >= 5
 ever does.  Where p in {2, 3} does not divide the discriminant (b odd,
 3 not dividing a), Dedekind's theorem settles p: it is unramified, and
 pZ_K splits like F mod p, one prime (1, d) per factor of degree d.  Those
-degrees are the irreducibility certificate's slot of (a mod p, b mod p)
-in its mod-p table, so the certificate and nu2/nu3 share one
-factorization, and the certificate, not the classifier, meets a naive
-lift that divides F.  The certificate reads residues only: a and b
-are reduced once mod the product of the primes up to 97, and every fact
-it uses comes from those two residues; only its root search, with no
-usable prime, builds the discriminant.  The other first-order-resolvable
+degrees sit in the irreducibility certificate's mod-p table, the one store
+of F mod p, and nu2's and nu3's unramified entries are built from its
+slots at import, so the certificate and nu2/nu3 share one factorization,
+and the certificate, not the classifier, meets a naive lift that divides
+F.  The certificate reads residues only: a and b are reduced once mod the
+product of the primes up to 97, and every fact it uses comes from those
+two residues; only its root search, with no usable prime, builds the
+discriminant.  The other first-order-resolvable
 branches run through the polygons of the same engine; the branches that
 genuinely require higher-order data are encoded as congruence tables
 keyed on (a, b) residues plus nu_p(Delta) and Delta_p mod 8 or mod 3.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count
 from math import gcd, prod
 
@@ -175,11 +175,11 @@ _CERT_PRIMES = primes_upto(100)
 _CERT_PRODUCT = prod(_CERT_PRIMES)
 
 
-# The certificate's mod-p table.  F mod p is x^9 + (a mod p)x + (b mod p),
-# so every fact read at a prime p <= 97 is one of p^2: row p has a slot per
-# residue pair, allocated the first time a certificate reaches p.  All 25
-# rows hold 65,796 slots, about 0.5 MB, and nothing is evicted: the slots
-# share one tuple per pattern, at most one per partition of 9.
+# The mod-p table, nonic's one store of F mod p, which depends on a mod p
+# and b mod p alone: row p <= 97 has a slot per residue pair, allocated the
+# first time a certificate reaches p.  All 25 rows hold 65,796 slots, about
+# 0.5 MB, and nothing is evicted: the slots share one record per pattern,
+# at most one per partition of 9, kept in _PATTERNS.
 _ROWS = dict.fromkeys(_CERT_PRIMES)
 _PATTERNS = {}
 
@@ -187,31 +187,29 @@ _PATTERNS = {}
 def _factor_degrees(p: int, a: int, b: int) -> tuple | bool:
     """The slot of x^9 + ax + b mod p in row p, a and b reduced mod p,
     filled on its first read: False when p divides disc(a, b), that is
-    2^24 a^9 + 3^18 b^8 mod p, and otherwise the degrees of the
-    irreducible factors of F mod p, which is then squarefree, in ascending
-    order, by one distinct-degree pass.  The certificate's patterns, and
-    nu2's and nu3's splittings at 2 and 3."""
+    2^24 a^9 + 3^18 b^8 mod p, and otherwise the record (degrees, sums) of
+    the squarefree F mod p: the degrees of its irreducible factors,
+    ascending, by one distinct-degree pass, and their subset sums as a
+    bitmask, bit s set when some of the degrees sum to s, the degrees of
+    the factors of F over Z they allow.  Both are computed once per
+    pattern, and every slot of that pattern holds the same record."""
     row = _ROWS[p]
     if row is None:
         row = _ROWS[p] = [None] * (p * p)
-    degrees = row[a * p + b]
-    if degrees is None:
-        degrees = False
+    slot = row[a * p + b]
+    if slot is None:
+        slot = False
         if (2**24 * a**9 + 3**18 * b**8) % p:
             parts = gf.distinct_degree(gf.PrimeField(p), trinomial(a, b))
             degrees = tuple(d for part, d in parts for _ in range(gf.pdeg(part) // d))
-            degrees = _PATTERNS.setdefault(degrees, degrees)
-        row[a * p + b] = degrees
-    return degrees
-
-
-def _usable(a: int, b: int):
-    """(p, a mod p, b mod p) for each p in _CERT_PRIMES, in order, that does
-    not divide disc(a, b), lazily: each p whose slot holds a pattern."""
-    for p in _CERT_PRIMES:
-        ap, bp = a % p, b % p
-        if _factor_degrees(p, ap, bp):
-            yield p, ap, bp
+            slot = _PATTERNS.get(degrees)
+            if slot is None:
+                sums = 1
+                for d in degrees:
+                    sums |= sums << d
+                slot = _PATTERNS[degrees] = degrees, sums
+        row[a * p + b] = slot
+    return slot
 
 
 def _smallest_integer_root(a: int, b: int, mod_p: tuple | None) -> int | None:
@@ -251,21 +249,6 @@ def _smallest_integer_root(a: int, b: int, mod_p: tuple | None) -> int | None:
     return min(roots, default=None)
 
 
-# One entry per partition of 9, the degree patterns of a squarefree F mod p
-_PARTITIONS_OF_9 = 30
-
-
-@lru_cache(maxsize=_PARTITIONS_OF_9)
-def _subset_sums(degrees: tuple) -> int:
-    """The degrees of the possible factors of F over Z that a factor-degree
-    pattern of F mod p allows, its subset sums, as a bitmask: bit s is set
-    when some of the degrees sum to s."""
-    sums = 1
-    for d in degrees:
-        sums |= sums << d
-    return sums
-
-
 def irreducibility_certificate(a: int, b: int) -> tuple:
     """(Certificate, detail) for x^9 + ax + b, by cheap deterministic means.
 
@@ -285,8 +268,8 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
     of degree 9 means F is irreducible mod p.  The usable primes are
     visited in order, each with one distinct-degree pass, whose Frobenius
     powers x^(p^d) mod F are products with one Frobenius matrix per prime.
-    The degree-sum proof folds one cached bitmask of subset sums per
-    pattern, and ends when only the bits 0 and 9 are left.
+    The degree-sum proof folds the bitmask of subset sums that each
+    pattern's record carries, and ends when only the bits 0 and 9 are left.
 
     Every fact read at a prime p <= 100 is a function of a mod p and b mod
     p, so a and b are reduced once mod _CERT_PRODUCT, the product of those
@@ -299,15 +282,16 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
 
     The mod-p facts sit in one table, a row per prime p <= 97 and a slot
     per (a mod p, b mod p), since F mod p depends on nothing else: False
-    when p divides disc(a, b), the pattern otherwise (_factor_degrees).
-    A slot is filled on its first read and never evicted, and is shared
-    by every pair in its residue class, so a caller with fresh pairs
-    fills the table too; the loop reads one slot per prime.  A pattern is
-    a tuple, ascending, which no caller can change; nu2 and nu3 read their
-    slots at 2 and 3.  F has a root mod p when the pattern has a 1, which
-    sets bit 1 of its subset sums.  An integer root is one mod every p, so
-    the search runs only when bit 1 survives the fold, every pattern
-    having a 1 or no prime being usable, and then no proof can succeed.
+    when p divides disc(a, b), the pattern's record (degrees, sums)
+    otherwise (_factor_degrees).  A slot is filled on its first read and
+    never evicted, and is shared by every pair in its residue class, so a
+    caller with fresh pairs fills the table too; the loop reads one slot
+    per prime and keeps the first usable one for the root search.  A
+    record is a tuple, which no caller can change.  F has a root mod p
+    when the pattern has a 1, which sets bit 1 of its subset sums.  An
+    integer root is one mod every p, so the search runs only when bit 1
+    survives the fold, every pattern having a 1 or no prime being usable,
+    and then no proof can succeed.
 
     The last step, before Unknown, is ore_analyze's exact-divisor test at
     2 and 3 when they do not divide disc(a, b): it divides F by the naive
@@ -332,15 +316,19 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if 8 * vb < 9 * va and gcd(vb, 9) == 1:
             return Certificate.PROVEN, f"one-sided polygon at p = {p} (slope -{vb}/9)"
     allowed = (1 << 10) - 1  # the degrees 0 to 9
+    first = None  # the first usable (p, a mod p, b mod p)
     for p in _CERT_PRIMES:
-        degrees = _factor_degrees(p, ar % p, br % p)
-        if degrees:  # False when p divides disc(a, b)
-            allowed &= _subset_sums(degrees)
+        ap, bp = ar % p, br % p
+        slot = _factor_degrees(p, ap, bp)
+        if slot:  # False when p divides disc(a, b)
+            allowed &= slot[1]
             if allowed == 1 | 1 << 9:
-                return Certificate.PROVEN, (f"irreducible mod {p}" if degrees == (9,) else
+                return Certificate.PROVEN, (f"irreducible mod {p}" if slot[0] == (9,) else
                                             "mod-p factor degrees only allow trivial splits")
+            if first is None:
+                first = p, ap, bp
     # bit 1 is left when every pattern has a 1, a root mod every usable p
-    root = _smallest_integer_root(a, b, next(_usable(ar, br), None)) if allowed & 2 else None
+    root = _smallest_integer_root(a, b, first) if allowed & 2 else None
     if root is not None:
         return Certificate.REDUCIBLE, f"integer root x = {_show(root)}"
     if a == 0:
@@ -349,9 +337,9 @@ def irreducibility_certificate(a: int, b: int) -> tuple:
         if c**3 == abs(b):
             sign = "+" if b > 0 else "-"
             return Certificate.REDUCIBLE, f"b is a cube: factor x^3 {sign} {_show(c)}"
-    for p, _, _ in _usable(ar, br):
-        if p > 3:
-            break
+    for p in (2, 3):
+        if not _factor_degrees(p, ar % p, br % p):
+            continue
         try:
             ore_analyze(trinomial(a, b), p)
         except ExactDivisorError as exc:
@@ -429,10 +417,9 @@ def _square_failure(a: int, b: int, factored: tuple) -> str | None:
     """
     dfac, leftover = factored
     ab = abs(a * b)
-    if ab:
-        while (shared := gcd(leftover, ab)) > 1:
-            leftover //= shared
-    p = next((p for p in sorted(dfac) if dfac[p] >= 2 and (ab == 0 or ab % p)), None)
+    while (shared := gcd(leftover, ab)) > 1:
+        leftover //= shared
+    p = next((p for p in sorted(dfac) if dfac[p] >= 2 and ab % p), None)
     if p is None and leftover != 1:
         raise IndeterminateFactorization(f"disc has an unfactored part {_show(leftover)}")
     if p is None:
@@ -465,13 +452,14 @@ def _entry(p: int, split: Splitting, rule: str, *warnings: str) -> PrimeEntry:
     return PrimeEntry(p, nu_lookup(split, p), split, rule, warnings)
 
 
-@lru_cache(maxsize=2 * _PARTITIONS_OF_9)
-def _dedekind_entry(p: int, degrees: tuple, rule: str) -> PrimeEntry:
-    """The entry of an unramified p, one prime (1, d) per factor degree d of
-    F mod p.  nu2 and nu3 ask for it at p = 2 and 3, one rule each, so the
-    cache holds one entry per (p, pattern), shared by every caller, which
-    the frozen PrimeEntry keeps safe."""
-    return _entry(p, _S((1, d) for d in degrees), rule)
+# nu2's and nu3's entry at an unramified p in {2, 3} (b odd, 3 not dividing
+# a), one prime (1, d) per factor degree d of F mod p, keyed on (p, a mod p,
+# b mod p): eight frozen entries, built from the mod-p table at import.
+_UNRAMIFIED = {
+    (p, a, b): _entry(p, _S((1, d) for d in _factor_degrees(p, a, b)[0]), rule)
+    for p, rule in ((2, "2:unit-b"), (3, "3:unit-a"))
+    for a in range(p) for b in range(p) if _factor_degrees(p, a, b)
+}
 
 
 # splitting shorthands shared by several rules
@@ -594,13 +582,13 @@ def nu2(a: int, b: int) -> PrimeEntry:
 
     Input must be normalized and irreducible.  For b odd, 2 does not divide
     disc(a, b), F mod 2 is squarefree, and 2 splits by Dedekind's theorem,
-    one prime (1, d) per factor degree d of F mod 2, read from the
-    certificate's mod-p table with no engine call.
+    one prime (1, d) per factor degree d of F mod 2: an entry of
+    _UNRAMIFIED, read with no engine call and no slot read.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     if b % 2:
-        return _dedekind_entry(2, _factor_degrees(2, a % 2, 1), "2:unit-b")
+        return _UNRAMIFIED[2, a % 2, 1]
     va, vb = val(2, a), val(2, b)
     if va >= 8 and vb >= 9:
         raise ValueError("input not normalized at 2")
@@ -654,16 +642,16 @@ def nu3(a: int, b: int) -> PrimeEntry:
 
     Input must be normalized and irreducible.  For 3 not dividing a, 3 does
     not divide disc(a, b), F mod 3 is squarefree, and 3 splits by
-    Dedekind's theorem, one prime (1, d) per factor degree d of F mod 3,
-    read from the certificate's mod-p table with no engine call.  Where
-    F = (x - s)^9 mod 3 and the lift x - s stays irregular, the "deep"
-    shape is a lookup on nu_3(disc) and Delta_3 mod 3 with no engine
-    call; engine_split's critical lift is what checks it.
+    Dedekind's theorem, one prime (1, d) per factor degree d of F mod 3:
+    an entry of _UNRAMIFIED, read with no engine call and no slot read.
+    Where F = (x - s)^9 mod 3 and the lift x - s stays irregular, the
+    "deep" shape is a lookup on nu_3(disc) and Delta_3 mod 3 with no
+    engine call; engine_split's critical lift is what checks it.
     """
     if b == 0:
         raise ReduciblePolynomial("b = 0: x divides the trinomial")
     if a % 3:
-        return _dedekind_entry(3, _factor_degrees(3, a % 3, b % 3), "3:unit-a")
+        return _UNRAMIFIED[3, a % 3, b % 3]
     F = trinomial(a, b)
     va, vb = val(3, a), val(3, b)
     if b % 3 == 0:

@@ -3,8 +3,8 @@
 The discriminant of x^9 + ax + b as a Sylvester resultant, an oracle for
 the closed form nonic.disc, the product a gf.Factorization stands for, and
 the smallest integer root of x^9 + ax + b by bisection, an oracle for the
-certificate's lifted root search, and a watch that counts what the
-certificate's mod-p table is asked.
+certificate's lifted root search, the usable primes read off the
+certificate's mod-p table, and a watch that counts what the table is asked.
 """
 
 from nonicindex import gf, nonic
@@ -93,6 +93,13 @@ def smallest_integer_root(a: int, b: int) -> int | None:
         if lo**9 + a * lo + b == 0:
             return lo
     return None
+
+
+def usable_primes(a: int, b: int) -> list:
+    """(p, a mod p, b mod p) for each p <= 97, in order, whose slot in the
+    certificate's mod-p table holds a record: each p not dividing disc(a, b)."""
+    return [(p, a % p, b % p) for p in nonic._CERT_PRIMES
+            if nonic._factor_degrees(p, a % p, b % p)]
 
 
 def clear_table() -> None:

@@ -47,7 +47,14 @@ from nonicindex.nonic import (
     irreducibility_certificate,
 )
 from nonicindex.polygon import Splitting, trinomial
-from reference import TableWatch, clear_table, expand, filled_slots, smallest_integer_root
+from reference import (
+    TableWatch,
+    clear_table,
+    expand,
+    filled_slots,
+    smallest_integer_root,
+    usable_primes,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -523,7 +530,7 @@ def test_usable_primes_from_residues_match_the_discriminant(a, b):
     # it takes from those residues are the primes <= 100 that do not divide
     # disc(a, b), each keyed on (p, a mod p, b mod p)
     assert _CERT_PRODUCT == prod(_CERT_PRIMES)
-    keys = list(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT))
+    keys = usable_primes(a % _CERT_PRODUCT, b % _CERT_PRODUCT)
     assert [p for p, _, _ in keys] == [p for p in _CERT_PRIMES if disc(a, b) % p], (a, b)
     assert keys == [(p, a % p, b % p) for p, _, _ in keys]
 
@@ -549,7 +556,7 @@ def test_lifted_root_search_matches_the_bisection(a, b, r):
     if r is not None:
         b = -(r**9 + a * r)
     assume(b != 0)
-    first = next(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT), None)
+    first = next(iter(usable_primes(a % _CERT_PRODUCT, b % _CERT_PRODUCT)), None)
     assert nonic._smallest_integer_root(a, b, first) == smallest_integer_root(a, b), (a, b)
 
 
@@ -564,52 +571,85 @@ def _partitions(n, largest=None):
 
 
 def test_subset_sum_masks_match_the_set_fold():
-    # the degree-sum proof folds one cached bitmask per pattern; each of
-    # the 30 partitions of 9, every pattern F mod p can have, gives the
-    # mask of the set its subset sums fold to, and the cache holds them all
-    patterns = list(_partitions(9))
-    assert len(patterns) == 30 == nonic._subset_sums.cache_info().maxsize
-    nonic._subset_sums.cache_clear()
-    for _ in range(2):
-        for degrees in patterns:
-            sums = {0}
-            for d in degrees:
-                sums |= {s + d for s in sums}
-            assert nonic._subset_sums(degrees) == sum(1 << s for s in sums), degrees
-    assert nonic._subset_sums.cache_info()[:2] == (30, 30)  # hits, misses
+    # the degree-sum proof folds the bitmask that each pattern's record
+    # carries: after every slot of the rows up to 31 is read, _PATTERNS
+    # holds at least 24 of the 30 partitions of 9, and each record is its
+    # pattern with the mask of the set its subset sums fold to
+    for p in _CERT_PRIMES[:11]:
+        for a in range(p):
+            for b in range(p):
+                nonic._factor_degrees(p, a, b)
+    patterns = set(_partitions(9))
+    assert len(patterns) == 30
+    assert 24 <= len(nonic._PATTERNS) and set(nonic._PATTERNS) <= patterns
+    for degrees, (record, mask) in nonic._PATTERNS.items():
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        assert record is degrees and mask == sum(1 << s for s in sums), degrees
+
+
+def test_slots_of_one_pattern_share_one_record():
+    # a full table stays about 0.5 MB because each slot refers to its
+    # pattern's one record, not to a tuple of its own: after a read of
+    # every slot of every row, the slots with equal degrees hold the same
+    # record object, the one _PATTERNS keeps, and 28 patterns occur
+    for p in _CERT_PRIMES:
+        for a in range(p):
+            for b in range(p):
+                nonic._factor_degrees(p, a, b)
+    records = {}
+    for p, row in nonic._ROWS.items():
+        for slot in row:
+            if slot:
+                assert records.setdefault(slot[0], slot) is slot, (p, slot)
+                assert nonic._PATTERNS[slot[0]] is slot, (p, slot)
+    assert len(records) == len(nonic._PATTERNS) == 28
 
 
 @pytest.mark.parametrize("p, rule", [(2, "2:unit-b"), (3, "3:unit-a")])
 def test_cached_dedekind_entry_matches_a_fresh_entry(p, rule):
-    # the unit branches build their entry once per (p, degrees, rule): for
-    # every pattern F mod p can have, the cached entry equals one built
-    # afresh by _entry, and a second read returns the same frozen object
-    patterns = list(_partitions(9))
-    for degrees in patterns:
+    # the unit branches return one of the entries built at import: one per
+    # (p, a mod p, b mod p) with p not dividing disc(a, b), 2 at p = 2 (b
+    # odd) and 6 at p = 3 (3 not dividing a), each equal to one built
+    # afresh by _entry from gf.factor's degrees of F mod p, and nu2 or nu3
+    # returns that same frozen object
+    nu = nonic.nu2 if p == 2 else nonic.nu3
+    keys = sorted(key for key in nonic._UNRAMIFIED if key[0] == p)
+    assert keys == [(p, a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
+    assert len(keys) == {2: 2, 3: 6}[p]
+    for key in keys:
+        _, a, b = key
+        degrees = sorted(pdeg(psi) for psi, _ in
+                         factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors)
         fresh = nonic._entry(p, Splitting.of((1, d) for d in degrees), rule)
-        cached = nonic._dedekind_entry(p, degrees, rule)
-        assert cached == fresh, degrees
-        assert nonic._dedekind_entry(p, degrees, rule) is cached
-    assert nonic._dedekind_entry.cache_info().maxsize >= 2 * len(patterns)
+        assert nonic._UNRAMIFIED[key] == fresh, key
+        assert nu(a, b + p) is nonic._UNRAMIFIED[key], key
+    assert len(nonic._UNRAMIFIED) == 8
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_cached_mod_p_facts_match_a_fresh_computation(monkeypatch, p):
     # the certificate's degree pattern sits in row p of the mod-p table, at
-    # the slot of (a mod p, b mod p), and at 2 and 3 nu2 and nu3 read the
-    # same degrees: the first round over every squarefree residue pair
-    # fills the slots, the second reads them, and every answer equals one
-    # computed afresh, by the reference pass and by gf.factor's degrees.
-    # The pattern's root test, a 1 among the degrees, matches evaluation.
-    # The slot of every other pair says that p divides the discriminant
+    # the slot of (a mod p, b mod p), with its subset sums, and at 2 and 3
+    # nu2's and nu3's entries are built from the same slots: the first
+    # round over every squarefree residue pair fills the slots, the second
+    # reads them, and every pattern equals one computed afresh, by the
+    # reference pass and by gf.factor's degrees, and the record's mask is
+    # the set of its subset sums.  The pattern's root test, a 1 among the
+    # degrees, matches evaluation.  The slot of every other pair says that
+    # p divides the discriminant
     squarefree = [(a, b) for a in range(p) for b in range(p) if disc(a, b) % p]
     factored = {(a, b): factor(PrimeField(p), reduce_mod_p(trinomial(a, b), p)).factors
                 for a, b in squarefree}  # before the watch: gf.factor runs passes too
     watch = TableWatch(monkeypatch)
     for _ in range(2):
         for a, b in squarefree:
-            degrees = nonic._factor_degrees(p, a, b)
+            degrees, sums = nonic._factor_degrees(p, a, b)
             assert degrees == tuple(_reference_degrees(a, b, p)), (p, a, b)
+            subsets = (c for k in range(len(degrees) + 1)
+                       for c in itertools.combinations(degrees, k))
+            assert sums == sum(1 << s for s in {sum(c) for c in subsets}), (p, a, b)
             assert degrees == tuple(sorted(pdeg(psi) for psi, _ in factored[a, b])), (p, a, b)
             assert (1 in degrees) == (degrees[0] == 1) == any(
                 (x**9 + a * x + b) % p == 0 for x in range(p)), (p, a, b)

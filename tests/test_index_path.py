@@ -41,7 +41,7 @@ from nonicindex.polygon import (
     trinomial,
     zeval,
 )
-from reference import TableWatch, clear_table, filled_slots
+from reference import TableWatch, clear_table, filled_slots, usable_primes
 
 
 def _scanned_root(a, b):
@@ -128,9 +128,9 @@ def test_irreducible_mod_p_verdict_matches_sympy(a, b):
 def test_certificate_shares_factorizations_with_nu2_nu3(monkeypatch, cold_certificate, a, b):
     # b odd, 3 does not divide a, and disc(a, b) is prime to 6: on its way
     # to a proof the certificate fills the slots of F mod 2 and mod 3 in
-    # the mod-p table, and nu2 and nu3 build their Dedekind splittings from
-    # those two slots, one read each, filling nothing and running no
-    # distinct-degree pass; neither reaches the engine
+    # the mod-p table, and nu2 and nu3 return the Dedekind entries built
+    # from those slots at import, reading no slot, filling none and running
+    # no distinct-degree pass; neither reaches the engine
     def no_call(*args, **kwargs):
         raise AssertionError("gf.factor or ore_analyze ran")
 
@@ -142,13 +142,13 @@ def test_certificate_shares_factorizations_with_nu2_nu3(monkeypatch, cold_certif
     filled, passes, reads = filled_slots(), watch.passes, watch.reads
     entries = nu2(a, b), nu3(a, b)
     assert [e.rule for e in entries] == ["2:unit-b", "3:unit-a"]
-    assert (filled_slots(), watch.passes, watch.reads) == (filled, passes, reads + 2)
+    assert (filled_slots(), watch.passes, watch.reads) == (filled, passes, reads)
 
 
 def test_certificate_and_unit_branches_build_no_discriminant(monkeypatch, cold_certificate):
     # the certificate reads (a, b) mod the product of the primes <= 100, and
-    # nu2 (b odd) and nu3 (3 not dividing a) read its cached degrees at 2
-    # and 3: none of them builds disc(a, b), at any input size
+    # nu2 (b odd) and nu3 (3 not dividing a) return entries built from its
+    # slots at 2 and 3: none of them builds disc(a, b), at any input size
     def no_call(a, b):
         raise AssertionError("disc ran")
 
@@ -171,7 +171,7 @@ def test_certificate_and_unit_branches_build_no_discriminant(monkeypatch, cold_c
             a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
             r = rng.choice((-1, 1)) * rng.randrange(1, 100)
             b = -(r**9 + a * r)
-            assert next(nonic._usable(a % _CERT_PRODUCT, b % _CERT_PRODUCT), None), digits
+            assert usable_primes(a % _CERT_PRODUCT, b % _CERT_PRODUCT), digits
             assert irreducibility_certificate(a, b) == (
                 Certificate.REDUCIBLE, f"integer root x = {r}"), digits
 
@@ -197,7 +197,7 @@ def test_root_search_builds_the_discriminant_only_with_no_usable_prime(monkeypat
         return disc(a, b)
 
     monkeypatch.setattr(nonic, "disc", recorded)
-    usable = next(nonic._usable(a % P, b % P), None) is not None
+    usable = bool(usable_primes(a % P, b % P))
     cert, detail = irreducibility_certificate(a, b)
     assert built == ([] if usable else [(a, b)]), (a, b)
     if not usable:

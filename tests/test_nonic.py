@@ -220,26 +220,32 @@ def test_local_failure_proves_no_prime_of_the_gcd_again(monkeypatch):
     assert calls == []
 
 
+def _maximality_matches_dedekind(a, b) -> bool:
+    """Whether (a, b) is checked: a proven F whose discriminant factors
+    fully, where is_order_maximal must agree with Dedekind's criterion at
+    every prime of the discriminant."""
+    if disc(a, b) == 0 or irreducibility_certificate(a, b)[0] is not Certificate.PROVEN:
+        return False
+    try:
+        maximal, _ = is_order_maximal(a, b)
+    except IndeterminateFactorization:
+        return False
+    factors, leftover = bounded_factor(abs(disc(a, b)))
+    if leftover != 1:
+        return False
+    oracle = not any(dedekind_divides(trinomial(a, b), p) for p in factors)
+    assert maximal == oracle, (a, b)
+    return True
+
+
 def test_maximality_matches_dedekind_over_disc_primes():
+    # 25 seeded pairs with a, b >= 1, then x^9 + b, a = 0, for 0 < |b| <= 60,
+    # where every prime p >= 5 of b has p^8 | disc = 3^18 b^8
     rng = random.Random(17)
     checked = 0
     while checked < 25:
-        a, b = rng.randrange(1, 120), rng.randrange(1, 120)
-        if disc(a, b) == 0:
-            continue
-        cert, _ = irreducibility_certificate(a, b)
-        if cert is not Certificate.PROVEN:
-            continue
-        try:
-            maximal, _ = is_order_maximal(a, b)
-        except IndeterminateFactorization:
-            continue
-        factors, leftover = bounded_factor(abs(disc(a, b)))
-        if leftover != 1:
-            continue
-        oracle = not any(dedekind_divides(trinomial(a, b), p) for p in factors)
-        assert maximal == oracle, (a, b)
-        checked += 1
+        checked += _maximality_matches_dedekind(rng.randrange(1, 120), rng.randrange(1, 120))
+    assert sum(_maximality_matches_dedekind(0, b) for b in range(-60, 61) if b) == 114
 
 
 def test_nu2_examples():
